@@ -37,10 +37,10 @@ from .models import (
     classifier_from_json,
     classifier_to_json,
     compute_metrics,
+    fit,
     input_gradient,
     predict_iteration,
-    train_decision_tree,
-    train_neural_network,
+    train_classifier,
 )
 from .mtd import (
     Lfsr,
@@ -49,7 +49,6 @@ from .mtd import (
     classify_stream,
     design_pool,
     evaluate_pool_sweep,
-    select_classifier,
 )
 from .traces import (
     HPC_CATALOG,

@@ -20,8 +20,9 @@ from .errors import (
 from .models import (
     FeatureView,
     TrainedClassifier,
-    fit_network_arrays,
-    fit_tree_arrays,
+    fit,
+    # Unused here; perfbench's tracer self-test looks it up in this module.
+    fit_network_arrays,  # noqa: F401
     input_gradient,
 )
 from .traces import HpcTrace
@@ -137,8 +138,6 @@ def reverse_engineer(
     if not candidate_algos:
         raise ConfigurationError("candidate algorithm list is empty")
     counters = tuple(counters) if counters else probe.traces[0].counters
-    tree_params = tree_params or {}
-    network_params = network_params or {}
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(probe.traces))
@@ -159,36 +158,12 @@ def reverse_engineer(
     except Exception as exc:
         raise OracleError(f"victim oracle failed: {exc}") from exc
 
-    view = FeatureView(
-        counters=counters,
-        means=X_fit.mean(axis=0),
-        sdevs=np.where(X_fit.std(axis=0) > 0, X_fit.std(axis=0), 1.0),
-    )
+    view = FeatureView.from_rows(counters, X_fit)
     best = None
     for i, algo in enumerate(candidate_algos):
-        cand_seed = seed + 101 * (i + 1)
-        if algo == "decision_tree":
-            cand = fit_tree_arrays(
-                X_fit,
-                y_fit,
-                view,
-                max_depth=tree_params.get("max_depth", 8),
-                min_leaf=tree_params.get("min_leaf", 5),
-                prune_fraction=tree_params.get("prune_fraction", 0.2),
-                seed=cand_seed,
-            )
-        elif algo == "neural_network":
-            cand = fit_network_arrays(
-                X_fit,
-                y_fit,
-                view,
-                hidden=network_params.get("hidden", (16,)),
-                epochs=network_params.get("epochs", 500),
-                lr=network_params.get("lr", 0.05),
-                seed=cand_seed,
-            )
-        else:
-            raise ConfigurationError(f"unknown candidate algo {algo!r}")
+        cand = fit(
+            algo, X_fit, y_fit, view, seed + 101 * (i + 1), tree_params, network_params
+        )
         agreement = float(
             (cand.predict_labels(X_held, counters) == y_held).mean()
         )

@@ -47,7 +47,6 @@ def _build_parser():
     rp.add_argument("--n-test", type=int, dest="n_test_per_class")
     rp.add_argument("--iterations", type=int)
     rp.add_argument("--epochs", type=int)
-    rp.add_argument("--include-records", action="store_true", default=None)
 
     pp = sub.add_parser("plot-data", help="project a report into a tidy CSV")
     pp.add_argument("report", help="report JSON file")
@@ -72,7 +71,6 @@ _RUN_OVERRIDES = (
     "n_test_per_class",
     "iterations",
     "epochs",
-    "include_records",
 )
 
 

@@ -4,6 +4,7 @@ the combinatorial analysis into deterministic machine-readable reports."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -26,13 +27,7 @@ from .features import (
     propose_hpc_groups,
     univariate_select_k_best,
 )
-from .models import (
-    FeatureView,
-    compute_metrics,
-    confusion_from_predictions,
-    train_decision_tree,
-    train_neural_network,
-)
+from .models import compute_metrics, confusion_from_predictions, train_classifier
 from .mtd import classify_stream, design_pool, evaluate_pool_sweep
 from .traces import (
     Dataset,
@@ -70,13 +65,23 @@ MTD_GROUP_B = ("cache-references", "cpu-cycles", "instructions")
 ALGOS = ("decision_tree", "neural_network")
 
 
+def _ints(values, lo, hi=math.inf):
+    """True when every value is an integer in [lo, hi]."""
+    return all(type(v) is int and lo <= v <= hi for v in values)
+
+
+def _real(value, lo, hi=math.inf):
+    """True when value is a finite number in [lo, hi]."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and lo <= value <= hi)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     recipe: str = "baseline"
     seeds: tuple = (7, 8, 9, 10, 11)
     csv_path: str | None = None
     out_dir: str | None = None
-    include_records: bool = False
     # dataset
     n_benign: int = 300
     n_malware: int = 300
@@ -109,10 +114,44 @@ class ExperimentConfig:
     sweep_h_t: tuple = (20, 40, 60, 80, 100)
 
     def __post_init__(self):
-        if self.recipe not in RECIPES:
-            raise ConfigurationError(f"unknown recipe {self.recipe!r}")
-        if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
+        """Reject every value `run` would fail on, before any work starts."""
+        self._check("recipe", self.recipe in RECIPES)
+        self._check("seeds", len(self.seeds) > 0 and _ints(self.seeds, 0)
+                    and len(set(self.seeds)) == len(self.seeds))
+        for name in ("csv_path", "out_dir"):
+            self._check(name, isinstance(getattr(self, name), (str, type(None))))
+        for name in ("n_benign", "n_malware", "n_test_per_class", "iterations",
+                     "probe_per_class", "max_depth", "min_leaf", "epochs",
+                     "importance_trees"):
+            self._check(name, _ints([getattr(self, name)], 1))
+        if self.csv_path is None:  # split_train_test keeps a training app
+            self._check("n_test_per_class", self.n_test_per_class
+                        < min(self.n_benign, self.n_malware))
+        self._check("epsilon", _real(self.epsilon, 0, 1) and self.epsilon > 0)
+        self._check("max_inject", self.max_inject is None
+                    or isinstance(self.max_inject, dict)
+                    and all(_real(v, 0) for v in self.max_inject.values()))
+        self._check("surrogate_algos", len(self.surrogate_algos) > 0
+                    and all(a in ALGOS for a in self.surrogate_algos))
+        self._check("extras", _ints(self.extras, 0))
+        self._check("prune_fraction", _real(self.prune_fraction, 0, 1)
+                    and self.prune_fraction < 1)
+        self._check("hidden", len(self.hidden) > 0 and _ints(self.hidden, 1))
+        self._check("lr", _real(self.lr, 0) and self.lr > 0)
+        self._check("n_groups", _ints([self.n_groups], 2, 20))
+        self._check("group_r_max", _ints([self.group_r_max], 1, 20))
+        self._check("corr_threshold", _real(self.corr_threshold, -1, 1))
+        self._check("sizes", len(self.sizes) > 0
+                    and _ints(self.sizes, 2, self.n_groups))
+        self._check("policy", self.policy in ("uniform", "priority"))
+        self._check("h_t", _ints([self.h_t], 1))
+        self._check("r_max", _ints([self.r_max], 1, self.h_t))
+        self._check("single_h", _ints([self.single_h], 1, self.h_t))
+        self._check("sweep_h_t", _ints(self.sweep_h_t, self.r_max))
+
+    def _check(self, name, ok):
+        if not ok:
+            raise ConfigurationError(f"invalid {name}: {getattr(self, name)!r}")
 
     @property
     def tree_params(self):
@@ -135,7 +174,9 @@ class ExperimentConfig:
         obj = dict(obj)
         for key in ("seeds", "hidden", "sizes", "extras", "sweep_h_t",
                     "surrogate_algos"):
-            if key in obj and obj[key] is not None:
+            if key in obj:
+                if not isinstance(obj[key], list):
+                    raise ConfigurationError(f"{key} must be a list")
                 obj[key] = tuple(obj[key])
         return cls(**obj)
 
@@ -186,15 +227,14 @@ class SeedContext:
 
     def victim(self, algo):
         if algo not in self._victims:
-            view = FeatureView.fit(self.train, ATTACK_HPCS)
-            if algo == "decision_tree":
-                self._victims[algo] = train_decision_tree(
-                    self.train, view, seed=self.seed, **self.cfg.tree_params
-                )
-            else:
-                self._victims[algo] = train_neural_network(
-                    self.train, view, seed=self.seed, **self.cfg.network_params
-                )
+            self._victims[algo] = train_classifier(
+                algo,
+                self.train,
+                ATTACK_HPCS,
+                self.seed,
+                self.cfg.tree_params,
+                self.cfg.network_params,
+            )
         return self._victims[algo]
 
     def surrogate(self):
@@ -258,7 +298,10 @@ def _attack_seed(ctx):
         out[algo] = {
             "clean": _metrics_dict(clean),
             "attacked": _metrics_dict(hit),
-            "precision_drop": clean.precision - hit.precision,
+            # precision is None when no row is flagged, as after full evasion
+            "precision_drop": None
+            if None in (clean.precision, hit.precision)
+            else clean.precision - hit.precision,
         }
     return out
 

@@ -44,15 +44,12 @@ class FeatureView:
             raise ConfigurationError("sdevs must be positive")
 
     @classmethod
-    def fit(cls, dataset, counters):
-        counters = tuple(counters)
-        if not counters:
-            raise ConfigurationError("empty counter list")
-        X, _ = dataset.stack(counters)
+    def from_rows(cls, counters, X):
+        """View standardized over training rows X with columns `counters`."""
         means = X.mean(axis=0)
         sdevs = X.std(axis=0)
         sdevs[sdevs == 0] = 1.0
-        return cls(counters=counters, means=means, sdevs=sdevs)
+        return cls(counters=tuple(counters), means=means, sdevs=sdevs)
 
     def standardize(self, X):
         return (X - self.means) / self.sdevs
@@ -322,13 +319,7 @@ class TrainedClassifier:
         return (self.scores(matrix, counters) >= 0.5).astype(np.int64)
 
 
-def _training_matrix(train, counters):
-    if not train.has_both_labels():
-        raise DegenerateDataError("training data must contain both labels")
-    return train.stack(counters)
-
-
-def fit_tree_arrays(X, y, view, max_depth, min_leaf, prune_fraction, seed):
+def fit_tree_arrays(X, y, view, seed, max_depth=8, min_leaf=5, prune_fraction=0.2):
     if max_depth < 1:
         raise ConfigurationError("max_depth must be >= 1")
     if not 0 <= prune_fraction < 1:
@@ -347,14 +338,7 @@ def fit_tree_arrays(X, y, view, max_depth, min_leaf, prune_fraction, seed):
     )
 
 
-def train_decision_tree(
-    train, view, max_depth=8, min_leaf=5, prune_fraction=0.2, seed=0
-):
-    X, y = _training_matrix(train, view.counters)
-    return fit_tree_arrays(X, y, view, max_depth, min_leaf, prune_fraction, seed)
-
-
-def fit_network_arrays(X, y, view, hidden, epochs, lr, seed):
+def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
     if lr <= 0:
@@ -369,9 +353,27 @@ def fit_network_arrays(X, y, view, hidden, epochs, lr, seed):
     )
 
 
-def train_neural_network(train, view, hidden=(16,), epochs=500, lr=0.05, seed=0):
-    X, y = _training_matrix(train, view.counters)
-    return fit_network_arrays(X, y, view, hidden, epochs, lr, seed)
+def fit(algo, X, y, view, seed, tree_params=None, network_params=None):
+    """Train an `algo` classifier on rows X (columns in view order) with 0/1
+    labels y. The params dicts override the trainers' keyword defaults."""
+    # Trainers are found by global name at call time, so a rebound one sees every fit.
+    if algo == "decision_tree":
+        return fit_tree_arrays(X, y, view, seed, **(tree_params or {}))
+    if algo == "neural_network":
+        return fit_network_arrays(X, y, view, seed, **(network_params or {}))
+    raise ConfigurationError(f"unknown algorithm {algo!r}")
+
+
+def train_classifier(
+    algo, dataset, counters, seed, tree_params=None, network_params=None
+):
+    """Train an `algo` classifier on every iteration row of `dataset`,
+    restricted to `counters` and standardized over those same rows."""
+    if not dataset.has_both_labels():
+        raise DegenerateDataError("training data must contain both labels")
+    X, y = dataset.stack(counters)
+    view = FeatureView.from_rows(counters, X)
+    return fit(algo, X, y, view, seed, tree_params, network_params)
 
 
 def predict_iteration(classifier, row):

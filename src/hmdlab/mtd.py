@@ -11,11 +11,9 @@ import numpy as np
 
 from .errors import ConfigurationError, EmptyEvaluationError
 from .models import (
-    FeatureView,
     compute_metrics,
     confusion_from_predictions,
-    train_decision_tree,
-    train_neural_network,
+    train_classifier,
 )
 
 LFSR_WIDTH = 16
@@ -149,10 +147,6 @@ class MtdRunReport:
         return json.dumps(obj)
 
 
-def _standalone_accuracy(classifier, X, counters, y):
-    return float((classifier.predict_labels(X, counters) == y).mean())
-
-
 def design_pool(
     train,
     grouping,
@@ -167,45 +161,31 @@ def design_pool(
 
     `grouping` is an HpcGrouping or a plain list of counter lists. For the
     priority policy, `best_index` defaults to the member with the highest
-    training accuracy (ties to the lower index).
+    training accuracy (ties to the lower index); the uniform policy never
+    reads it.
     """
     groups = getattr(grouping, "groups", grouping)
     if len(groups) != len(algos):
         raise ConfigurationError("one algorithm per group is required")
     if len(groups) < 2:
         raise ConfigurationError("an MTD pool requires at least 2 classifiers")
-    tree_params = tree_params or {}
-    network_params = network_params or {}
-    members = []
-    for i, (group, algo) in enumerate(zip(groups, algos)):
-        view = FeatureView.fit(train, group)
-        member_seed = seed + 1009 * (i + 1)
-        if algo == "decision_tree":
-            members.append(
-                train_decision_tree(train, view, seed=member_seed, **tree_params)
-            )
-        elif algo == "neural_network":
-            members.append(
-                train_neural_network(train, view, seed=member_seed, **network_params)
-            )
-        else:
-            raise ConfigurationError(f"unknown algorithm {algo!r}")
-    if best_index is None:
+    members = [
+        train_classifier(
+            algo, train, group, seed + 1009 * (i + 1), tree_params, network_params
+        )
+        for i, (group, algo) in enumerate(zip(groups, algos))
+    ]
+    if policy == "priority" and best_index is None:
         counters = train.traces[0].counters
         X, y = train.stack(counters)
-        accs = [_standalone_accuracy(m, X, counters, y) for m in members]
+        accs = [(m.predict_labels(X, counters) == y).mean() for m in members]
         best_index = int(np.argmax(accs))
     return MtdPool(
         classifiers=tuple(members),
         policy=policy,
         seed=seed,
-        best_index=best_index,
+        best_index=0 if best_index is None else best_index,
     )
-
-
-def select_classifier(selector, tick):
-    """Classifier index for one iteration tick; advances the selector."""
-    return selector.select(tick)
 
 
 def classify_stream(pool, test):

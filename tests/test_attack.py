@@ -25,7 +25,7 @@ from hmdlab.models import (
     FeatureView,
     Network,
     TrainedClassifier,
-    train_decision_tree,
+    train_classifier,
 )
 from hmdlab.traces import Dataset, default_profile, generate_synthetic_dataset
 
@@ -101,8 +101,7 @@ def test_perturbation_addition_and_json():
 def test_reverse_engineer_self_distillation():
     prof = default_profile(iterations=10)
     train = generate_synthetic_dataset(prof, 100, 100, 5)
-    view = FeatureView.fit(train, ATTACK_HPCS)
-    victim = train_decision_tree(train, view, seed=5)
+    victim = train_classifier("decision_tree", train, ATTACK_HPCS, 5)
     probe = generate_synthetic_dataset(prof, 100, 100, 99)  # 200 probe apps
     rep = reverse_engineer(
         label_oracle(victim),
@@ -188,8 +187,7 @@ def test_craft_rejects_benign_and_tree_surrogates(small_dataset):
     benign = make_trace("b0", "benign", ATTACK_HPCS, [[1, 1, 1, 1]])
     with pytest.raises(ConfigurationError):
         craft_perturbation(sur, benign, AttackBudget())
-    view = FeatureView.fit(small_dataset, ATTACK_HPCS)
-    tree = train_decision_tree(small_dataset, view, seed=0)
+    tree = train_classifier("decision_tree", small_dataset, ATTACK_HPCS, 0)
     malware = _malware_trace([[1, 1, 1, 1]])
     with pytest.raises(UnsupportedModelError):
         craft_perturbation(tree, malware, AttackBudget())

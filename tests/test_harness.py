@@ -1,17 +1,29 @@
 import json
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hmdlab.cli import main
 from hmdlab.errors import ConfigurationError, MappingError
 from hmdlab.experiments import (
+    ALGOS,
     ExperimentConfig,
+    _aggregate,
+    _attack_seed,
     emit_plot_data,
     run,
     write_report,
 )
-from hmdlab.traces import default_profile, generate_synthetic_dataset, write_perf_csv
+from hmdlab.models import FeatureView, TrainedClassifier, TreeNode
+from hmdlab.traces import (
+    Dataset,
+    HpcTrace,
+    default_profile,
+    generate_synthetic_dataset,
+    write_perf_csv,
+)
 
 # Small-but-real settings so end-to-end recipes finish in seconds.
 FAST = dict(
@@ -83,6 +95,35 @@ def test_baseline_recipe_structure():
         assert 0.0 <= clean["accuracy"] <= 1.0
     agg = report["results"]["aggregate"]
     assert "mean" in agg["decision_tree"]["clean"]["accuracy"]
+
+
+def test_attack_seed_full_evasion_leaves_precision_drop_undefined():
+    """A victim that flags the clean malware but nothing after the attack has
+    no attacked precision, so the drop is undefined rather than a crash."""
+
+    def trace(app_id, label, branch_misses):
+        return HpcTrace(app_id, label, 10, ("branch-misses",), [[branch_misses]])
+
+    # Malware iff branch-misses <= 100; the attack pushes it far above.
+    root = TreeNode(p_malware=0.5, n=2)
+    root.feature, root.threshold = 0, 100.0
+    root.left, root.right = TreeNode(1.0, 1), TreeNode(0.0, 1)
+    view = FeatureView(("branch-misses",), np.zeros(1), np.ones(1))
+    victim = TrainedClassifier("decision_tree", view, root, training_seed=0)
+    benign = trace("b0", "benign", 500)
+    ctx = SimpleNamespace(
+        test=Dataset((trace("m0", "malware", 10), benign)),
+        test_benign=[benign],
+        attacked_malware=lambda: [trace("m0", "malware", 900)],
+        surrogate=lambda: SimpleNamespace(agreement=1.0),
+        victim=lambda algo: victim,
+    )
+    out = _attack_seed(ctx)
+    for algo in ALGOS:
+        assert out[algo]["clean"]["precision"] == 1.0
+        assert out[algo]["attacked"]["precision"] is None
+        assert out[algo]["precision_drop"] is None
+        assert _aggregate({3: out})[algo]["precision_drop"] is None
 
 
 def test_resilience_recipe_restores_accuracy():
@@ -226,3 +267,39 @@ def test_cli_validate_config(tmp_path, capsys):
     bad.write_text(json.dumps({"recipe": "mtd", "warp": 9}))
     assert main(["validate-config", str(bad)]) == 2
     assert main(["validate-config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "baseline", "--n-benign", "0"],
+        ["run", "baseline", "--seed", "1", "--seed", "1"],
+    ],
+)
+def test_cli_run_rejects_invalid_config(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n_benign": 0},
+        {"hidden": [], "sizes": [9]},
+        {"hidden": []},
+        {"sizes": [9]},
+        {"seeds": [1, 1]},
+        {"seeds": [-1]},
+        {"seeds": 1},
+        {"epsilon": 0},
+        {"surrogate_algos": ["nearest_neighbor"]},
+        {"r_max": 30},
+    ],
+)
+def test_cli_validate_config_rejects_what_run_rejects(obj, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"recipe": "baseline", **obj}))
+    assert main(["validate-config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_dict({"recipe": "baseline", **obj})

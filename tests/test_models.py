@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conftest import make_trace, two_class_dataset
 from hmdlab.errors import (
     ConfigurationError,
+    DegenerateDataError,
+    DivergenceError,
     EmptyEvaluationError,
     FeatureMismatchError,
     UnsupportedModelError,
@@ -22,16 +24,17 @@ from hmdlab.models import (
     classifier_to_json,
     compute_metrics,
     confusion_from_predictions,
+    fit,
     fit_network_arrays,
     fit_tree_arrays,
     grow_cart,
     input_gradient,
     predict_iteration,
     reduced_error_prune,
-    train_decision_tree,
-    train_neural_network,
+    train_classifier,
     tree_predict_scores,
 )
+from hmdlab.traces import Dataset
 
 TWO = ("branch-misses", "instructions")
 
@@ -60,7 +63,7 @@ def test_view_fit_constant_column_gets_unit_sdev():
     d = two_class_dataset(
         TWO, benign_rows=[[1, 7], [3, 7]], malware_rows=[[5, 7], [9, 7]]
     )
-    view = FeatureView.fit(d, TWO)
+    view = FeatureView.from_rows(TWO, d.stack(TWO)[0])
     assert view.sdevs[1] == 1.0
     assert view.means[1] == 7.0
 
@@ -131,11 +134,12 @@ def test_tree_invariant_under_monotone_transform():
 
 def test_tree_param_validation():
     d = two_class_dataset(TWO, [[1, 2]], [[9, 8]])
-    view = FeatureView.fit(d, TWO)
     with pytest.raises(ConfigurationError):
-        train_decision_tree(d, view, max_depth=0)
+        train_classifier("decision_tree", d, TWO, 0, tree_params={"max_depth": 0})
     with pytest.raises(ConfigurationError):
-        train_decision_tree(d, view, prune_fraction=1.0)
+        train_classifier(
+            "decision_tree", d, TWO, 0, tree_params={"prune_fraction": 1.0}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +159,40 @@ def test_network_learns_xor():
 
 def test_network_rejects_bad_params():
     d = two_class_dataset(TWO, [[1, 2]], [[9, 8]])
-    view = FeatureView.fit(d, TWO)
+    for bad in ({"epochs": 0}, {"lr": 0.0}, {"hidden": ()}):
+        with pytest.raises(ConfigurationError):
+            train_classifier("neural_network", d, TWO, 0, network_params=bad)
+
+
+def test_network_divergence_reports_epoch():
+    d = two_class_dataset(
+        TWO,
+        benign_rows=[[i, 50 + i] for i in range(20)],
+        malware_rows=[[100 + i, 200 + i] for i in range(20)],
+    )
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        train_classifier(
+            "neural_network",
+            d,
+            TWO,
+            0,
+            network_params={"hidden": (4,), "epochs": 50, "lr": 1e10},
+        )
+    assert 0 <= err.value.epoch < 50
+    assert f"epoch {err.value.epoch}" in str(err.value)
+
+
+def test_fit_rejects_unknown_algo_and_one_label_data():
+    d = two_class_dataset(TWO, [[1, 2]], [[9, 8]])
+    X, y = d.stack(TWO)
+    view = FeatureView.from_rows(TWO, X)
     with pytest.raises(ConfigurationError):
-        train_neural_network(d, view, epochs=0)
+        fit("nearest_neighbor", X, y, view, 0)
     with pytest.raises(ConfigurationError):
-        train_neural_network(d, view, lr=0.0)
-    with pytest.raises(ConfigurationError):
-        train_neural_network(d, view, hidden=())
+        train_classifier("nearest_neighbor", d, TWO, 0)
+    benign_only = Dataset(tuple(d.by_label("benign")))
+    with pytest.raises(DegenerateDataError):
+        train_classifier("decision_tree", benign_only, TWO, 0)
 
 
 def test_network_init_deterministic():
@@ -188,8 +219,9 @@ def test_training_invariant_under_input_scaling():
         benign_rows=[[10 * i, 10 * (50 + i)] for i in range(20)],
         malware_rows=[[10 * (100 + i), 10 * (200 + i)] for i in range(20)],
     )
-    a = train_neural_network(d, FeatureView.fit(d, TWO), epochs=200, seed=3)
-    b = train_neural_network(scaled, FeatureView.fit(scaled, TWO), epochs=200, seed=3)
+    params = {"epochs": 200}
+    a = train_classifier("neural_network", d, TWO, 3, network_params=params)
+    b = train_classifier("neural_network", scaled, TWO, 3, network_params=params)
     X, _ = d.stack(TWO)
     Xs, _ = scaled.stack(TWO)
     np.testing.assert_array_equal(a.predict_labels(X, TWO), b.predict_labels(Xs, TWO))
@@ -290,7 +322,9 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_requires_network_and_valid_label():
     d = two_class_dataset(TWO, [[1, 2], [2, 3]], [[9, 8], [8, 7]])
-    tree = train_decision_tree(d, FeatureView.fit(d, TWO), prune_fraction=0.0)
+    tree = train_classifier(
+        "decision_tree", d, TWO, 0, tree_params={"prune_fraction": 0.0}
+    )
     with pytest.raises(UnsupportedModelError):
         input_gradient(tree, np.array([1.0, 2.0]), "malware")
     net = _linear_net(_identity_view(TWO), [1.0, 1.0])
@@ -345,8 +379,7 @@ def test_metrics_bounds_property(counts):
 
 
 def test_serialization_roundtrip_tree(small_dataset):
-    view = FeatureView.fit(small_dataset, TWO)
-    clf = train_decision_tree(small_dataset, view, seed=4)
+    clf = train_classifier("decision_tree", small_dataset, TWO, 4)
     back = classifier_from_json(classifier_to_json(clf))
     X, _ = small_dataset.stack(TWO)
     np.testing.assert_array_equal(clf.scores(X, TWO), back.scores(X, TWO))
@@ -354,8 +387,9 @@ def test_serialization_roundtrip_tree(small_dataset):
 
 
 def test_serialization_roundtrip_network(small_dataset):
-    view = FeatureView.fit(small_dataset, TWO)
-    clf = train_neural_network(small_dataset, view, epochs=50, seed=4)
+    clf = train_classifier(
+        "neural_network", small_dataset, TWO, 4, network_params={"epochs": 50}
+    )
     back = classifier_from_json(classifier_to_json(clf))
     X, _ = small_dataset.stack(TWO)
     np.testing.assert_array_equal(clf.scores(X, TWO), back.scores(X, TWO))

@@ -13,7 +13,6 @@ from hmdlab.mtd import (
     design_pool,
     evaluate_pool_sweep,
     lfsr_from_seed,
-    select_classifier,
 )
 from hmdlab.traces import Dataset, default_profile, generate_synthetic_dataset
 
@@ -119,7 +118,7 @@ def test_priority_takes_best_on_even_ticks():
     ]
     pool = _pool(members, policy="priority", best_index=2)
     sel = pool.selector()
-    picks = [select_classifier(sel, t) for t in range(200)]
+    picks = [sel.select(t) for t in range(200)]
     assert all(p == 2 for p in picks[0::2])
     assert all(p != 2 for p in picks[1::2])
 
