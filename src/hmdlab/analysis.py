@@ -14,6 +14,11 @@ from .errors import DomainError
 
 _LOG10_2 = math.log10(2)
 
+# Largest classifier count n_h whose pool count 2^n_h is computed exactly:
+# that integer takes n_h / 8 bytes, and reporting its digit count takes
+# seconds at n_h = 4e6 (h_t = 100, r_max = 4) and grows faster than n_h.
+MAX_CLASSIFIERS = 10_000_000
+
 
 def _log10_int(n):
     """log10 of a positive big integer. Splits off the low bits so neither
@@ -65,10 +70,22 @@ def total_classifiers(h_t, r_max):
     return BigCount.of(sum(math.comb(h_t, i) for i in range(1, r_max + 1)))
 
 
+def check_classifier_count(n_h):
+    """n_h (an int or BigCount) as an int; DomainError above
+    MAX_CLASSIFIERS."""
+    n = n_h.exact if isinstance(n_h, BigCount) else int(n_h)
+    if n > MAX_CLASSIFIERS:
+        raise DomainError(
+            f"{n} classifiers exceed the limit of {MAX_CLASSIFIERS}"
+            " for exact pool counts"
+        )
+    return n
+
+
 def total_combinations(n_h):
     """Number of pools of size >= 2 drawn from n_h classifiers:
     2^n_h - n_h - 1."""
-    n = n_h.exact if isinstance(n_h, BigCount) else int(n_h)
+    n = check_classifier_count(n_h)
     if n < 2:
         raise DomainError("need at least 2 classifiers")
     return BigCount.of((1 << n) - n - 1)

@@ -183,28 +183,22 @@ def craft_perturbation(surrogate, trace, budget):
     if trace.label != "malware":
         raise ConfigurationError("only malware traces are camouflaged")
     view = surrogate.view
-    controllable = [c for c in budget.controllable if c in view.counters]
-    col = {c: view.counters.index(c) for c in controllable}
     trace_idx = [trace.counters.index(c) for c in view.counters]
+    g = input_gradient(
+        surrogate, trace.values[:, trace_idx].astype(np.float64), "malware"
+    )
     deltas = {}
-
-    def row_delta(c):
-        if c not in deltas:
-            deltas[c] = np.zeros(trace.iterations, dtype=np.int64)
-        return deltas[c]
-
-    for i in range(trace.iterations):
-        raw = trace.values[i, trace_idx].astype(np.float64)
-        g = input_gradient(surrogate, raw, "malware")
-        for c in controllable:
-            gc = g[col[c]]
-            if gc <= 0:  # sign(0) treated as 0; negative steps are infeasible
-                continue
-            step = budget.epsilon * view.sdevs[col[c]]
-            d = int(math.ceil(step))
-            row_delta(c)[i] += d
-            for side, coef in budget.coupling.get(c, {}).items():
-                row_delta(side)[i] += int(round(coef * d))
+    for c in budget.controllable:
+        if c not in view.counters:
+            continue
+        j = view.counters.index(c)
+        hit = g[:, j] > 0  # sign(0) treated as 0; negative steps are infeasible
+        if not hit.any():
+            continue
+        d = int(math.ceil(budget.epsilon * view.sdevs[j]))
+        deltas[c] = deltas.get(c, 0) + np.where(hit, d, 0)
+        for side, coef in budget.coupling.get(c, {}).items():
+            deltas[side] = deltas.get(side, 0) + np.where(hit, int(round(coef * d)), 0)
 
     if budget.max_inject:
         for c, cap in budget.max_inject.items():

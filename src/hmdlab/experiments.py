@@ -148,6 +148,8 @@ class ExperimentConfig:
         self._check("r_max", _ints([self.r_max], 1, self.h_t))
         self._check("single_h", _ints([self.single_h], 1, self.h_t))
         self._check("sweep_h_t", _ints(self.sweep_h_t, self.r_max))
+        for h_t in (self.h_t, *self.sweep_h_t):
+            analysis.check_classifier_count(analysis.total_classifiers(h_t, self.r_max))
 
     def _check(self, name, ok):
         if not ok:
@@ -223,6 +225,7 @@ class SeedContext:
         self.budget = AttackBudget(epsilon=cfg.epsilon, max_inject=cfg.max_inject)
         self._victims = {}
         self._surrogate = None
+        self._perturbations = None
         self._attacked = None
 
     def victim(self, algo):
@@ -262,19 +265,35 @@ class SeedContext:
             )
         return self._surrogate
 
-    def attacked_malware(self):
-        """Test malware traces with crafted perturbations injected."""
-        if self._attacked is None:
+    def perturbations(self):
+        """One crafted perturbation per test malware trace."""
+        if self._perturbations is None:
             sur = self.surrogate().surrogate
+            self._perturbations = [
+                craft_perturbation(sur, t, self.budget) for t in self.test_malware
+            ]
+        return self._perturbations
+
+    def attacked_malware(self):
+        """Test malware traces with their crafted perturbations injected."""
+        if self._attacked is None:
             self._attacked = [
-                inject(t, craft_perturbation(sur, t, self.budget))
-                for t in self.test_malware
+                inject(t, p) for t, p in zip(self.test_malware, self.perturbations())
             ]
         return self._attacked
 
-    def perturbations(self):
-        sur = self.surrogate().surrogate
-        return [craft_perturbation(sur, t, self.budget) for t in self.test_malware]
+    def pool(self, algos):
+        """MTD pool training one `algos[i]` member on each default group."""
+        cfg = self.cfg
+        return design_pool(
+            self.train,
+            [MTD_GROUP_A, MTD_GROUP_B],
+            list(algos),
+            policy=cfg.policy,
+            seed=self.seed,
+            tree_params=cfg.tree_params,
+            network_params=cfg.network_params,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -307,43 +326,23 @@ def _attack_seed(ctx):
 
 
 def _mtd_seed(ctx):
-    cfg = ctx.cfg
     attacked_test = ctx.attacked_malware() + ctx.test_benign
     out = _attack_seed(ctx)
     for algo in ALGOS:
-        pool = design_pool(
-            ctx.train,
-            [MTD_GROUP_A, MTD_GROUP_B],
-            [algo, algo],
-            policy=cfg.policy,
-            seed=ctx.seed,
-            tree_params=cfg.tree_params,
-            network_params=cfg.network_params,
-        )
-        report = classify_stream(pool, Dataset(tuple(attacked_test)))
+        report = classify_stream(ctx.pool([algo, algo]), Dataset(tuple(attacked_test)))
         out[algo]["mtd"] = _metrics_dict(report.metrics)
         out[algo]["mtd_selection_histogram"] = list(report.selection_histogram)
     return out
 
 
 def _mixed_seed(ctx):
-    cfg = ctx.cfg
     attacked = Dataset(tuple(ctx.attacked_malware()))
     out = {}
     for name, algos in (
         ("tree_on_A_network_on_B", ("decision_tree", "neural_network")),
         ("network_on_A_tree_on_B", ("neural_network", "decision_tree")),
     ):
-        pool = design_pool(
-            ctx.train,
-            [MTD_GROUP_A, MTD_GROUP_B],
-            list(algos),
-            policy=cfg.policy,
-            seed=ctx.seed,
-            tree_params=cfg.tree_params,
-            network_params=cfg.network_params,
-        )
-        out[name] = {"accuracy": classify_stream(pool, attacked).accuracy}
+        out[name] = {"accuracy": classify_stream(ctx.pool(algos), attacked).accuracy}
     return out
 
 
@@ -351,15 +350,7 @@ def _resilience_seed(ctx):
     cfg = ctx.cfg
     victim = ctx.victim("neural_network")
     perturbations = ctx.perturbations()
-    pool = design_pool(
-        ctx.train,
-        [MTD_GROUP_A, MTD_GROUP_B],
-        ["neural_network", "neural_network"],
-        policy=cfg.policy,
-        seed=ctx.seed,
-        tree_params=cfg.tree_params,
-        network_params=cfg.network_params,
-    )
+    pool = ctx.pool(["neural_network", "neural_network"])
     clean_acc = _evaluate(victim, ctx.test_malware).accuracy
     rows = []
     for extra in cfg.extras:

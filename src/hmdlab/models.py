@@ -232,68 +232,49 @@ class Network:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
+    def _forward(self, Xs):
+        """Layer inputs, hidden pre-activations and scores for standardized
+        rows Xs (n, d); activations are column-major, (units, n)."""
+        acts, zs = [Xs.T], []
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            zs.append(W @ acts[-1] + b[:, None])
+            acts.append(np.maximum(zs[-1], 0.0))
+        z = self.weights[-1] @ acts[-1] + self.biases[-1][:, None]
+        return acts, zs, _sigmoid(z[0])
+
+    def _backward(self, delta, zs):
+        """Every layer's delta, first to last, from the output delta (1, n)."""
+        deltas = [delta]
+        for W, z in zip(self.weights[:0:-1], reversed(zs)):
+            deltas.append((W.T @ deltas[-1]) * (z > 0))
+        return deltas[::-1]
+
     def forward(self, Xs):
         """Scores for standardized rows Xs (n, d)."""
-        a = Xs.T
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(W @ a + b[:, None], 0.0)
-        z = self.weights[-1] @ a + self.biases[-1][:, None]
-        return _sigmoid(z[0])
+        return self._forward(Xs)[2]
 
     def train(self, Xs, y, epochs, lr):
         n = len(y)
         for epoch in range(epochs):
-            acts = [Xs.T]
-            zs = []
-            a = Xs.T
-            for W, b in zip(self.weights[:-1], self.biases[:-1]):
-                z = W @ a + b[:, None]
-                zs.append(z)
-                a = np.maximum(z, 0.0)
-                acts.append(a)
-            z_out = self.weights[-1] @ a + self.biases[-1][:, None]
-            s = _sigmoid(z_out[0])
-            loss = _bce(s, y)
-            if not np.isfinite(loss):
+            acts, zs, s = self._forward(Xs)
+            # Scores lie in [0, 1] unless NaN, so this is where the loss
+            # stops being finite.
+            if not np.isfinite(s).all():
                 raise DivergenceError(epoch)
-            delta = ((s - y) / n)[None, :]
-            grads_w, grads_b = [], []
-            for layer in range(len(self.weights) - 1, -1, -1):
-                grads_w.append(delta @ acts[layer].T)
-                grads_b.append(delta.sum(axis=1))
-                if layer > 0:
-                    delta = (self.weights[layer].T @ delta) * (zs[layer - 1] > 0)
-            grads_w.reverse()
-            grads_b.reverse()
-            for W, b, gw, gb in zip(self.weights, self.biases, grads_w, grads_b):
-                W -= lr * gw
-                b -= lr * gb
+            deltas = self._backward(((s - y) / n)[None, :], zs)
+            for W, b, a, delta in zip(self.weights, self.biases, acts, deltas):
+                W -= lr * (delta @ a.T)
+                b -= lr * delta.sum(axis=1)
 
-    def input_gradient(self, x_std, y):
-        """d(BCE loss)/d(standardized input) for one row."""
-        acts = [x_std[:, None]]
-        zs = []
-        a = acts[0]
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = W @ a + b[:, None]
-            zs.append(z)
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-        z_out = self.weights[-1] @ a + self.biases[-1][:, None]
-        s = _sigmoid(z_out[0, 0])
-        delta = np.array([[s - y]])
-        for layer in range(len(self.weights) - 1, 0, -1):
-            delta = (self.weights[layer].T @ delta) * (zs[layer - 1] > 0)
-        return (self.weights[0].T @ delta)[:, 0]
+    def input_gradient(self, Xs, y):
+        """d(BCE loss)/d(standardized input) for rows Xs (n, d)."""
+        _, zs, s = self._forward(Xs)
+        delta = self._backward((s - y)[None, :], zs)[0]
+        return (self.weights[0].T @ delta).T
 
 
 def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
-def _bce(s, y):
-    eps = 1e-12
-    return float(-np.mean(y * np.log(s + eps) + (1 - y) * np.log(1 - s + eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +370,22 @@ def predict_iteration(classifier, row):
     return ("malware" if score >= 0.5 else "benign"), score
 
 
-def input_gradient(classifier, row, target_label):
-    """Analytic gradient of the cross-entropy loss w.r.t. the raw input row,
-    chain-ruled through the view's standardization."""
+def input_gradient(classifier, rows, target_label):
+    """Analytic gradient of the cross-entropy loss w.r.t. raw input rows,
+    chain-ruled through the view's standardization. `rows` is one row (d,)
+    or a batch (n, d); the gradient has the same shape."""
     if classifier.algo != "neural_network":
         raise UnsupportedModelError("input gradients need a neural network")
     if target_label not in ("benign", "malware"):
         raise ValueError(f"bad label {target_label!r}")
-    if isinstance(row, dict):
-        try:
-            raw = np.array([float(row[c]) for c in classifier.view.counters])
-        except KeyError as exc:
-            raise FeatureMismatchError(f"missing counter {exc.args[0]!r}") from None
-    else:
-        raw = np.asarray(row, dtype=np.float64)
-        if raw.shape != (len(classifier.view.counters),):
-            raise FeatureMismatchError("row length does not match the view")
+    raw = np.asarray(rows, dtype=np.float64)
+    if raw.ndim not in (1, 2) or raw.shape[-1] != len(classifier.view.counters):
+        raise FeatureMismatchError("row length does not match the view")
     y = 1.0 if target_label == "malware" else 0.0
     g_std = classifier.model.input_gradient(
-        classifier.view.standardize(raw), y
+        classifier.view.standardize(raw.reshape(-1, raw.shape[-1])), y
     )
-    return g_std / classifier.view.sdevs
+    return (g_std / classifier.view.sdevs).reshape(raw.shape)
 
 
 # ---------------------------------------------------------------------------

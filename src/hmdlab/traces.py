@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ProfileError, SplitSizeError
+from .errors import FeatureMismatchError, ParseError, ProfileError, SplitSizeError
 
 # Canonical 20-counter catalog. Order is the global tie-break order.
 HPC_CATALOG = (
@@ -123,12 +123,19 @@ class Dataset:
         """Pool all iteration rows restricted to `counters`.
 
         Returns (X, y) with X float64 of shape (total_rows, len(counters))
-        and y int (1 = malware). Raises KeyError if a trace lacks a counter.
+        and y int (1 = malware). Raises FeatureMismatchError if a trace lacks
+        a counter.
         """
         counters = tuple(counters)
         xs, ys = [], []
         for t in self.traces:
-            idx = [t.counters.index(c) for c in counters]
+            try:
+                idx = [t.counters.index(c) for c in counters]
+            except ValueError:
+                missing = next(c for c in counters if c not in t.counters)
+                raise FeatureMismatchError(
+                    f"app {t.app_id!r} lacks counter {missing!r}"
+                ) from None
             xs.append(t.values[:, idx].astype(np.float64))
             ys.append(np.full(t.iterations, 1 if t.label == "malware" else 0))
         if not xs:

@@ -281,6 +281,48 @@ def test_cli_run_rejects_invalid_config(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_csv_missing_a_counter(tmp_path, capsys):
+    # A valid perf CSV that lacks the counters the victim detector watches.
+    lines = ["app_id,label,iteration,instructions"]
+    for app in range(6):
+        label = "malware" if app % 2 else "benign"
+        lines += [f"app{app},{label},{i},{100 * app + i}" for i in range(3)]
+    path = tmp_path / "few.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["run", "baseline", "--csv", str(path), "--n-test", "1", "--seed", "1"]
+    assert main(argv) == 2
+    assert "lacks counter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2^n_h would need about 5.2 GB and 137 GB.
+        ["run", "combinatorics", "--ht", "1000"],
+        ["run", "combinatorics", "--ht", "40", "--rmax", "40"],
+    ],
+)
+def test_cli_run_rejects_pool_counts_too_large_to_compute(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"h_t": 1000},
+        {"h_t": 40, "r_max": 40, "sweep_h_t": [40]},
+        {"sweep_h_t": [20, 1000]},
+    ],
+)
+def test_cli_validate_config_rejects_too_many_classifiers(obj, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"recipe": "combinatorics", **obj}))
+    assert main(["validate-config", str(path)]) == 2
+    assert "exceed the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "obj",
     [

@@ -182,6 +182,15 @@ def test_network_divergence_reports_epoch():
     assert f"epoch {err.value.epoch}" in str(err.value)
 
 
+def test_network_with_nan_weight_diverges_at_epoch_zero():
+    net = Network.init([2, 4, 1], seed=0)
+    net.weights[0][0, 0] = np.nan
+    X = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    with pytest.raises(DivergenceError) as err:
+        net.train(X, np.array([0.0, 1.0]), epochs=5, lr=0.05)
+    assert err.value.epoch == 0
+
+
 def test_fit_rejects_unknown_algo_and_one_label_data():
     d = two_class_dataset(TWO, [[1, 2]], [[9, 8]])
     X, y = d.stack(TWO)
@@ -296,28 +305,48 @@ def test_gradient_scales_with_view_sdev():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    net = Network.init([4, 8, 1], seed=7)
     view = _identity_view(
         ("branch-instructions", "branch-misses", "instructions", "LLC-load-misses")
     )
+    for layers in ([4, 8, 1], [4, 8, 8, 1]):
+        net = Network.init(layers, seed=7)
+        clf = TrainedClassifier(
+            algo="neural_network", view=view, model=net, training_seed=7
+        )
+        x = rng.normal(size=4)
+        g = input_gradient(clf, x, "malware")
+
+        def loss(v):
+            s = float(clf.scores(v[None, :], view.counters)[0])
+            return -np.log(max(s, 1e-300))
+
+        h = 1e-4
+        fd = np.array(
+            [
+                (loss(x + h * e) - loss(x - h * e)) / (2 * h)
+                for e in np.eye(4)
+            ]
+        )
+        assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
+
+
+def test_gradient_of_a_batch_matches_one_call_per_row():
+    counters = ("branch-instructions", "branch-misses", "instructions")
+    view = FeatureView(
+        counters=counters, means=np.array([1.0, -2.0, 0.5]),
+        sdevs=np.array([2.0, 0.5, 3.0]),
+    )
     clf = TrainedClassifier(
-        algo="neural_network", view=view, model=net, training_seed=7
+        algo="neural_network", view=view, model=Network.init([3, 8, 4, 1], seed=5),
+        training_seed=5,
     )
-    x = rng.normal(size=4)
-    g = input_gradient(clf, x, "malware")
-
-    def loss(v):
-        s = float(clf.scores(v[None, :], view.counters)[0])
-        return -np.log(max(s, 1e-300))
-
-    h = 1e-4
-    fd = np.array(
-        [
-            (loss(x + h * e) - loss(x - h * e)) / (2 * h)
-            for e in np.eye(4)
-        ]
-    )
-    assert np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
+    rows = np.random.default_rng(4).normal(scale=3.0, size=(30, 3))
+    for target in ("benign", "malware"):
+        batch = input_gradient(clf, rows, target)
+        single = np.array([input_gradient(clf, r, target) for r in rows])
+        assert batch.shape == rows.shape
+        np.testing.assert_allclose(batch, single, rtol=1e-12)
+        np.testing.assert_array_equal(np.sign(batch), np.sign(single))
 
 
 def test_gradient_requires_network_and_valid_label():
@@ -332,6 +361,8 @@ def test_gradient_requires_network_and_valid_label():
         input_gradient(net, np.array([1.0, 2.0]), "suspicious")
     with pytest.raises(FeatureMismatchError):
         input_gradient(net, np.array([1.0, 2.0, 3.0]), "malware")
+    with pytest.raises(FeatureMismatchError):
+        input_gradient(net, np.ones((2, 3)), "malware")
 
 
 # ---------------------------------------------------------------------------
