@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DomainError
 
@@ -51,8 +52,9 @@ class BigCount:
     def of(cls, n):
         return cls(exact=n, log10=_log10_int(n) if n >= 1 else float("-inf"))
 
-    @property
+    @cached_property
     def digits(self):
+        """Exact decimal digit count; computed on first read, then kept."""
         return _digit_count(self.exact)
 
 

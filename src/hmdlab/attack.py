@@ -25,9 +25,7 @@ from .models import (
     fit_network_arrays,  # noqa: F401
     input_gradient,
 )
-from .traces import HpcTrace
-
-INT64_MAX = np.iinfo(np.int64).max
+from .traces import INT64_MAX, HpcTrace
 
 # Injected events per loop of the generator also tick other counters; one
 # branch-miss costs a handful of instructions and branch instructions, one

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import HmdlabError
+from .errors import HmdlabError, MappingError
 from .experiments import (
     RECIPES,
     ExperimentConfig,
@@ -104,7 +104,10 @@ def main(argv=None):
                 print()
         elif args.command == "plot-data":
             with open(args.report, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
+                try:
+                    report = json.load(fh)
+                except ValueError as exc:  # not JSON, or not UTF-8
+                    raise MappingError(f"{args.report} is not JSON: {exc}")
             rows = emit_plot_data(report, args.figure)
             if args.out:
                 write_plot_csv(rows, args.out)

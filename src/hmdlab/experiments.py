@@ -169,6 +169,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ConfigurationError("a config must be a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(obj) - known
         if unknown:
@@ -185,7 +187,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigurationError(f"{path} is not JSON: {exc}")
+        return cls.from_dict(obj)
 
 
 def _metrics_dict(metrics):
@@ -505,6 +511,8 @@ FIGURES = {
 
 def emit_plot_data(report, figure):
     """Tidy (series, x, y) rows for one figure id."""
+    if not isinstance(report, dict) or "results" not in report:
+        raise MappingError("not a report: it has no results")
     recipe = report.get("recipe")
     if figure not in FIGURES:
         raise MappingError(f"unknown figure {figure!r}")
@@ -512,34 +520,37 @@ def emit_plot_data(report, figure):
         raise MappingError(f"figure {figure!r} does not apply to recipe {recipe!r}")
     results = report["results"]
     rows = []
-    if figure == "metric-bars":
-        agg = results["aggregate"]
-        for algo in ALGOS:
-            if algo not in agg:
-                continue
-            for stage in ("clean", "attacked", "mtd"):
-                if stage not in agg[algo]:
+    try:
+        if figure == "metric-bars":
+            agg = results["aggregate"]
+            for algo in ALGOS:
+                if algo not in agg:
                     continue
-                for metric, stat in agg[algo][stage].items():
-                    if isinstance(stat, dict):
-                        rows.append((f"{algo}/{stage}", metric, stat["mean"]))
-    elif figure == "pool-accuracy":
-        for algo in ALGOS:
-            for entry in results[algo]:
-                rows.append((algo, entry["size"], entry["mean_accuracy"]))
-    elif figure == "mixed-accuracy":
-        for name, stats in results["aggregate"].items():
-            rows.append((name, "accuracy", stats["accuracy"]["mean"]))
-    elif figure == "resilience":
-        levels = results["aggregate"]["levels"]
-        for entry in levels:
-            extra = entry["extra_branch_misses"]["mean"]
-            rows.append(("attacked", extra, entry["attacked_accuracy"]["mean"]))
-            rows.append(("mtd", extra, entry["mtd_accuracy"]["mean"]))
-    elif figure == "hpc-sweep":
-        for entry in results["sweep"]:
-            rows.append(("n_h", entry["h_t"], float(entry["n_h"])))
-            rows.append(("n_c_log10", entry["h_t"], entry["n_c_log10"]))
+                for stage in ("clean", "attacked", "mtd"):
+                    if stage not in agg[algo]:
+                        continue
+                    for metric, stat in agg[algo][stage].items():
+                        if isinstance(stat, dict):
+                            rows.append((f"{algo}/{stage}", metric, stat["mean"]))
+        elif figure == "pool-accuracy":
+            for algo in ALGOS:
+                for entry in results[algo]:
+                    rows.append((algo, entry["size"], entry["mean_accuracy"]))
+        elif figure == "mixed-accuracy":
+            for name, stats in results["aggregate"].items():
+                rows.append((name, "accuracy", stats["accuracy"]["mean"]))
+        elif figure == "resilience":
+            levels = results["aggregate"]["levels"]
+            for entry in levels:
+                extra = entry["extra_branch_misses"]["mean"]
+                rows.append(("attacked", extra, entry["attacked_accuracy"]["mean"]))
+                rows.append(("mtd", extra, entry["mtd_accuracy"]["mean"]))
+        elif figure == "hpc-sweep":
+            for entry in results["sweep"]:
+                rows.append(("n_h", entry["h_t"], float(entry["n_h"])))
+                rows.append(("n_c_log10", entry["h_t"], entry["n_c_log10"]))
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise MappingError(f"report results do not hold figure {figure!r}: {exc!r}")
     return rows
 
 

@@ -168,7 +168,11 @@ def grow_cart(
         node.right = build(idx[~left_mask], depth + 1)
         return node
 
-    return build(np.arange(n_total), 0)
+    root = build(np.arange(n_total), 0)
+    # `build` refers to itself; clearing the name breaks that cycle, so X is
+    # freed when the caller drops it rather than at the next gc pass.
+    del build
+    return root
 
 
 def _tree_scores(node, X, idx, out):
@@ -186,28 +190,28 @@ def tree_predict_scores(root, X):
     return out
 
 
+def _prune(node, X_prune, y_prune, idx):
+    if node.is_leaf():
+        return
+    mask = X_prune[idx, node.feature] <= node.threshold
+    _prune(node.left, X_prune, y_prune, idx[mask])
+    _prune(node.right, X_prune, y_prune, idx[~mask])
+    if len(idx) == 0:
+        # No evidence either way; prefer the simpler leaf.
+        node.feature = node.threshold = node.left = node.right = None
+        return
+    yi = y_prune[idx]
+    scores = tree_predict_scores(node, X_prune[idx])
+    subtree_errors = int(((scores >= 0.5).astype(int) != yi).sum())
+    leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != yi).sum())
+    if leaf_errors <= subtree_errors:
+        node.feature = node.threshold = node.left = node.right = None
+
+
 def reduced_error_prune(root, X_prune, y_prune):
     """Bottom-up collapse of subtrees that do not beat their own leaf on the
     held-out prune rows. Mutates and returns the tree."""
-
-    def visit(node, idx):
-        if node.is_leaf():
-            return
-        mask = X_prune[idx, node.feature] <= node.threshold
-        visit(node.left, idx[mask])
-        visit(node.right, idx[~mask])
-        if len(idx) == 0:
-            # No evidence either way; prefer the simpler leaf.
-            node.feature = node.threshold = node.left = node.right = None
-            return
-        yi = y_prune[idx]
-        scores = tree_predict_scores(node, X_prune[idx])
-        subtree_errors = int(((scores >= 0.5).astype(int) != yi).sum())
-        leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != yi).sum())
-        if leaf_errors <= subtree_errors:
-            node.feature = node.threshold = node.left = node.right = None
-
-    visit(root, np.arange(len(X_prune)))
+    _prune(root, X_prune, y_prune, np.arange(len(X_prune)))
     return root
 
 

@@ -147,6 +147,13 @@ class MtdRunReport:
         return json.dumps(obj)
 
 
+def _training_accuracies(members, train):
+    """Each member's accuracy on the training rows."""
+    counters = train.traces[0].counters
+    X, y = train.stack(counters)
+    return [(m.predict_labels(X, counters) == y).mean() for m in members]
+
+
 def design_pool(
     train,
     grouping,
@@ -176,10 +183,7 @@ def design_pool(
         for i, (group, algo) in enumerate(zip(groups, algos))
     ]
     if policy == "priority" and best_index is None:
-        counters = train.traces[0].counters
-        X, y = train.stack(counters)
-        accs = [(m.predict_labels(X, counters) == y).mean() for m in members]
-        best_index = int(np.argmax(accs))
+        best_index = int(np.argmax(_training_accuracies(members, train)))
     return MtdPool(
         classifiers=tuple(members),
         policy=policy,
@@ -232,31 +236,25 @@ def evaluate_pool_sweep(
     network_params=None,
 ):
     """Mean MTD accuracy per pool size, growing the pool through the
-    quality-ordered groups."""
+    quality-ordered groups. Member i depends only on group i, `algo` and the
+    seed, so each seed trains the largest pool once; the rest are prefixes."""
     groups = list(getattr(grouping, "groups", grouping))
     if max(sizes) > len(groups):
         raise ConfigurationError("pool size exceeds the number of groups")
     if min(sizes) < 2:
         raise ConfigurationError("pool sizes must be >= 2")
-    table = []
-    for size in sizes:
-        accs = []
-        for seed in seeds:
-            pool = design_pool(
-                train,
-                groups[:size],
-                [algo] * size,
-                policy=policy,
-                seed=seed,
-                tree_params=tree_params,
-                network_params=network_params,
-            )
-            accs.append(classify_stream(pool, test).accuracy)
-        table.append(
-            {
-                "size": size,
-                "mean_accuracy": float(np.mean(accs)),
-                "per_seed": accs,
-            }
-        )
-    return table
+    top = max(sizes)
+    per_size = [[] for _ in sizes]
+    for seed in seeds:
+        # best_index 0: each prefix's best member is picked below instead.
+        members = design_pool(train, groups[:top], [algo] * top, policy, seed, 0,
+                              tree_params, network_params).classifiers
+        # argmax keeps ties on the lower index; uniform never reads best_index.
+        accs = [0] if policy == "uniform" else _training_accuracies(members, train)
+        for size, out in zip(sizes, per_size):
+            pool = MtdPool(members[:size], policy, seed, int(np.argmax(accs[:size])))
+            out.append(classify_stream(pool, test).accuracy)
+    return [
+        {"size": size, "mean_accuracy": float(np.mean(out)), "per_seed": out}
+        for size, out in zip(sizes, per_size)
+    ]

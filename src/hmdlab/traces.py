@@ -38,6 +38,7 @@ HPC_CATALOG = (
 CATALOG_INDEX = {name: i for i, name in enumerate(HPC_CATALOG)}
 
 LABELS = ("benign", "malware")
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def catalog_order(counters):
@@ -339,6 +340,10 @@ def parse_perf_csv(path):
                     raise ParseError(f"bad counter value {cell!r}", line=lineno)
                 if v < 0:
                     raise ParseError(f"negative counter value {v}", line=lineno)
+                if v > INT64_MAX:
+                    raise ParseError(
+                        f"counter value {v} exceeds the 64-bit range", line=lineno
+                    )
                 vals.append(v)
             if app_id not in apps:
                 apps[app_id] = (label, {})

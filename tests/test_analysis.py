@@ -123,6 +123,22 @@ def test_build_report_fields():
     assert isinstance(obj["n_c"], str)
 
 
+def test_digit_count_is_computed_once_and_only_when_read(monkeypatch):
+    from hmdlab import analysis
+
+    calls = []
+    real = analysis._digit_count
+    monkeypatch.setattr(
+        analysis, "_digit_count", lambda n: calls.append(n) or real(n)
+    )
+    sweep_curves([20, 40], 4)
+    report = build_report()
+    assert calls == []
+    report.to_json()
+    report.to_json()
+    assert calls == [report.n_c.exact]
+
+
 def test_sweep_curves():
     rows = sweep_curves([20, 40, 60, 80, 100], 4)
     assert rows[0]["n_h"] == 6195

@@ -198,6 +198,11 @@ def test_plot_data_mismatch_errors():
         emit_plot_data(report, "resilience")
     with pytest.raises(MappingError):
         emit_plot_data(report, "no-such-figure")
+    for bad in (None, {"sweep": [{}]}, {"sweep": [{"h_t": 20, "n_h": "x"}]}):
+        with pytest.raises(MappingError):
+            emit_plot_data({"recipe": "combinatorics", "results": bad}, "hpc-sweep")
+    with pytest.raises(MappingError):
+        emit_plot_data({"recipe": "combinatorics"}, "hpc-sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +297,22 @@ def test_cli_run_rejects_csv_missing_a_counter(tmp_path, capsys):
     argv = ["run", "baseline", "--csv", str(path), "--n-test", "1", "--seed", "1"]
     assert main(argv) == 2
     assert "lacks counter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [b"{not json", b"5", b"[]", b"\xff\xfe"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-config"],
+        ["run", "baseline", "--config"],
+        ["plot-data", "--figure", "hpc-sweep"],
+    ],
+)
+def test_cli_rejects_a_file_that_is_not_a_json_object(argv, body, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(body)
+    assert main(argv + [str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -118,6 +120,24 @@ def test_pruning_never_adds_nodes():
     before = full.node_count()
     pruned = reduced_error_prune(full, X[320:], y[320:])
     assert pruned.node_count() <= before
+
+
+def test_growing_and_pruning_keep_no_reference_to_their_rows():
+    # Bootstrap copies must die with their last caller reference, not wait
+    # for the cyclic collector.
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(400, 4))
+    y = ((X[:, 0] > 0) ^ (rng.random(400) < 0.25)).astype(np.int64)
+    grow_rows, prune_rows = X[:320].copy(), X[320:].copy()
+    refs = [weakref.ref(grow_rows), weakref.ref(prune_rows)]
+    gc.disable()
+    try:
+        root = grow_cart(grow_rows, y[:320], max_depth=10, min_leaf=2)
+        reduced_error_prune(root, prune_rows, y[320:])
+        del grow_rows, prune_rows
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_tree_invariant_under_monotone_transform():

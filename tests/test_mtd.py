@@ -250,14 +250,31 @@ def _standalone_accuracies(pool, test):
     return [float((m.predict_labels(X, counters) == y).mean()) for m in pool.classifiers]
 
 
-def test_sweep_size_two_matches_classify_stream(trained_sweep):
+def test_sweep_matches_classify_stream_at_every_size(trained_sweep):
+    # Reference: every (size, seed) cell trains its own pool from scratch.
+    # In this order the priority member (best training accuracy) of the
+    # size-2, 3 and 4 pools is member 0, 2 and 3 at seed 5.
     train, test, groups = trained_sweep
-    table = evaluate_pool_sweep(
-        train, test, groups, "decision_tree", "uniform", sizes=[2], seeds=[5]
-    )
-    pool = design_pool(train, groups[:2], ["decision_tree"] * 2, seed=5)
-    assert table[0]["size"] == 2
-    assert table[0]["mean_accuracy"] == classify_stream(pool, test).accuracy
+    groups = [groups[0], groups[2], groups[3], groups[1]]
+    for policy in ("uniform", "priority"):
+        table = evaluate_pool_sweep(
+            train, test, groups, "decision_tree", policy, sizes=[2, 3, 4],
+            seeds=[5, 6],
+        )
+        assert [row["size"] for row in table] == [2, 3, 4]
+        for row in table:
+            size = row["size"]
+            expected = [
+                classify_stream(
+                    design_pool(
+                        train, groups[:size], ["decision_tree"] * size, policy, seed
+                    ),
+                    test,
+                ).accuracy
+                for seed in (5, 6)
+            ]
+            assert row["per_seed"] == expected
+            assert row["mean_accuracy"] == float(np.mean(expected))
 
 
 def test_uniform_accuracy_matches_member_mean(trained_sweep):

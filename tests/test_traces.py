@@ -171,6 +171,7 @@ def test_parse_header_only(tmp_path):
         "app_id,label,iteration,instructions\na,benign,0,1\na,malware,1,1\n",
         "app_id,label,iteration,instructions\na,benign,0,1\na,benign,0,2\n",
         "app_id,label,iteration,instructions\na,benign,1,1\n",  # gap at 0
+        "app_id,label,iteration,instructions\na,benign,0,9223372036854775808\n",
     ],
 )
 def test_parse_rejects_malformed(tmp_path, body):
