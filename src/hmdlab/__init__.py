@@ -3,7 +3,6 @@ detection, adversarial counter perturbations, and a moving-target defense."""
 
 from .analysis import (
     BigCount,
-    binomial,
     build_report,
     single_classifier_probability,
     sweep_curves,
@@ -16,7 +15,6 @@ from .attack import (
     SurrogateReport,
     craft_perturbation,
     inject,
-    label_oracle,
     reverse_engineer,
     strengthen,
 )
@@ -34,12 +32,9 @@ from .models import (
     FeatureView,
     Metrics,
     TrainedClassifier,
-    classifier_from_json,
-    classifier_to_json,
     compute_metrics,
     fit,
     input_gradient,
-    predict_iteration,
     train_classifier,
 )
 from .mtd import (

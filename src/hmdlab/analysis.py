@@ -4,7 +4,6 @@ arbitrary-precision; base-10 magnitudes ride along for reporting."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -35,12 +34,10 @@ def _digit_count(n):
     """Exact number of decimal digits without stringifying n."""
     if n < 10:
         return 1
-    d = max(1, int(n.bit_length() * _LOG10_2))
-    while 10**d <= n:
-        d += 1
-    while 10 ** (d - 1) > n:
-        d -= 1
-    return d
+    # 2^(b-1) <= n < 2^b, so n has lo or lo + 1 digits. The float floor is
+    # exact: below 12e6 bits, b * log10(2) stays 2e-8 away from any integer.
+    lo = int((n.bit_length() - 1) * _LOG10_2) + 1
+    return lo + (n >= 10**lo)
 
 
 @dataclass(frozen=True)
@@ -56,13 +53,6 @@ class BigCount:
     def digits(self):
         """Exact decimal digit count; computed on first read, then kept."""
         return _digit_count(self.exact)
-
-
-def binomial(n, k):
-    """Exact C(n, k)."""
-    if k < 0 or n < 0 or k > n:
-        raise DomainError(f"C({n}, {k}) is undefined")
-    return BigCount.of(math.comb(n, k))
 
 
 def total_classifiers(h_t, r_max):
@@ -184,11 +174,3 @@ def sweep_curves(h_t_values, r_max):
         n_c = total_combinations(n_h)
         rows.append({"h_t": h_t, "n_h": n_h.exact, "n_c_log10": n_c.log10})
     return rows
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["h_t", "n_h", "n_c_log10"])
-        for r in rows:
-            w.writerow([r["h_t"], r["n_h"], f"{r['n_c_log10']:.6f}"])

@@ -4,7 +4,6 @@ injection with coupled side effects."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -87,36 +86,11 @@ class Perturbation:
     def nonzero_counters(self):
         return {c for c, arr in self.deltas.items() if arr.any()}
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "n_rows": self.n_rows,
-                "deltas": {c: arr.tolist() for c, arr in self.deltas.items()},
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(
-            n_rows=obj["n_rows"],
-            deltas={c: np.array(v, dtype=np.int64) for c, v in obj["deltas"].items()},
-        )
-
 
 @dataclass(frozen=True)
 class SurrogateReport:
     surrogate: TrainedClassifier
     agreement: float  # victim-label agreement on held-out probes
-
-
-def label_oracle(classifier):
-    """Wrap a trained classifier as a black-box per-iteration label oracle."""
-
-    def oracle(matrix, counters):
-        return classifier.predict_labels(matrix, counters)
-
-    return oracle
 
 
 def reverse_engineer(
@@ -222,7 +196,6 @@ def inject(trace, p):
     return HpcTrace(
         app_id=trace.app_id,
         label=trace.label,
-        interval_ms=trace.interval_ms,
         counters=trace.counters,
         values=values,
     )

@@ -110,12 +110,11 @@ def main(argv=None):
                     raise MappingError(f"{args.report} is not JSON: {exc}")
             rows = emit_plot_data(report, args.figure)
             if args.out:
-                write_plot_csv(rows, args.out)
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    write_plot_csv(rows, fh)
                 print(args.out)
             else:
-                print("series,x,y")
-                for series, x, y in rows:
-                    print(f"{series},{x},{y}")
+                write_plot_csv(rows, sys.stdout)
         else:  # validate-config
             ExperimentConfig.from_file(args.config)
             print("ok")

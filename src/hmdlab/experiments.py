@@ -3,6 +3,7 @@ the combinatorial analysis into deterministic machine-readable reports."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -16,7 +17,6 @@ from .attack import (
     AttackBudget,
     craft_perturbation,
     inject,
-    label_oracle,
     reverse_engineer,
     strengthen,
 )
@@ -261,7 +261,7 @@ class SeedContext:
                     self.seed + 7919,
                 )
             self._surrogate = reverse_engineer(
-                label_oracle(self.victim("decision_tree")),
+                self.victim("decision_tree").predict_labels,
                 probe,
                 list(cfg.surrogate_algos),
                 seed=self.seed + 13,
@@ -554,11 +554,8 @@ def emit_plot_data(report, figure):
     return rows
 
 
-def write_plot_csv(rows, path):
-    import csv as _csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
-        w.writerow(["series", "x", "y"])
-        for series, x, y in rows:
-            w.writerow([series, x, y])
+def write_plot_csv(rows, fh):
+    """Write (series, x, y) rows as CSV with a header to the text stream fh."""
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["series", "x", "y"])
+    w.writerows(rows)

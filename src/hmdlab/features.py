@@ -9,8 +9,6 @@ that correlate with every member above a threshold.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -49,7 +47,6 @@ class CorrelationMatrix:
 @dataclass(frozen=True)
 class HpcGrouping:
     groups: tuple  # tuple of counter tuples, pairwise disjoint
-    rationale: tuple  # per-group dicts with mean correlation / scores
 
 
 def _stacked(train):
@@ -167,7 +164,7 @@ def propose_hpc_groups(
             f"cannot form {n_groups} groups from {len(unused)} counters"
         )
     order = sorted(unused, key=lambda c: (ranks[c], CATALOG_INDEX[c]))
-    groups, rationale = [], []
+    groups = []
     for g in range(n_groups):
         remaining_groups = n_groups - g - 1
         seed_counter = next(c for c in order if c in unused)
@@ -183,28 +180,5 @@ def propose_hpc_groups(
                 group.append(cand)
                 unused.discard(cand)
         group = catalog_order(group)
-        pair_r = [
-            corr.value(a, b)
-            for i, a in enumerate(group)
-            for b in group[i + 1 :]
-        ]
-        rationale.append(
-            {
-                "mean_intra_correlation": float(np.mean(pair_r)) if pair_r else 1.0,
-                "mean_chi2": float(np.mean([chi2.scores[c] for c in group])),
-                "mean_importance": float(np.mean([imp.scores[c] for c in group])),
-            }
-        )
         groups.append(group)
-    return HpcGrouping(groups=tuple(groups), rationale=tuple(rationale))
-
-
-def export_heatmap(corr, csv_path, json_path):
-    """Plot-ready export: CSV matrix of r values plus a JSON sidecar with the
-    counter order."""
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for row in corr.r:
-            w.writerow([f"{v:.6f}" for v in row])
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump({"counters": list(corr.counters)}, fh, indent=2)
+    return HpcGrouping(groups=tuple(groups))

@@ -7,7 +7,6 @@ full-batch gradient descent. Malware is the positive class (label 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ from .errors import (
     FeatureMismatchError,
     UnsupportedModelError,
 )
-
-SERIALIZATION_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -361,19 +358,6 @@ def train_classifier(
     return fit(algo, X, y, view, seed, tree_params, network_params)
 
 
-def predict_iteration(classifier, row):
-    """Classify one iteration row given as a counter->value mapping.
-
-    Returns (label, score); malware iff score >= 0.5.
-    """
-    try:
-        vec = np.array([[float(row[c]) for c in classifier.view.counters]])
-    except KeyError as exc:
-        raise FeatureMismatchError(f"missing counter {exc.args[0]!r}") from None
-    score = float(classifier.scores(vec, classifier.view.counters)[0])
-    return ("malware" if score >= 0.5 else "benign"), score
-
-
 def input_gradient(classifier, rows, target_label):
     """Analytic gradient of the cross-entropy loss w.r.t. raw input rows,
     chain-ruled through the view's standardization. `rows` is one row (d,)
@@ -437,85 +421,4 @@ def confusion_from_predictions(predicted, truth):
         tn=int(((predicted == 0) & (truth == 0)).sum()),
         fp=int(((predicted == 1) & (truth == 0)).sum()),
         fn=int(((predicted == 0) & (truth == 1)).sum()),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _repr_float(v):
-    # plain-float repr; numpy scalars would render as "np.float64(...)"
-    return repr(float(v))
-
-
-def _tree_to_obj(node):
-    if node.is_leaf():
-        return {"p": _repr_float(node.p_malware), "n": node.n}
-    return {
-        "feature": node.feature,
-        "threshold": _repr_float(node.threshold),
-        "p": _repr_float(node.p_malware),
-        "n": node.n,
-        "left": _tree_to_obj(node.left),
-        "right": _tree_to_obj(node.right),
-    }
-
-
-def _tree_from_obj(obj):
-    node = TreeNode(p_malware=float(obj["p"]), n=obj["n"])
-    if "feature" in obj:
-        node.feature = obj["feature"]
-        node.threshold = float(obj["threshold"])
-        node.left = _tree_from_obj(obj["left"])
-        node.right = _tree_from_obj(obj["right"])
-    return node
-
-
-def classifier_to_json(classifier):
-    """Versioned JSON; floats rendered with repr for bit-faithful reload."""
-    obj = {
-        "version": SERIALIZATION_VERSION,
-        "algo": classifier.algo,
-        "training_seed": classifier.training_seed,
-        "view": {
-            "counters": list(classifier.view.counters),
-            "means": [_repr_float(v) for v in classifier.view.means],
-            "sdevs": [_repr_float(v) for v in classifier.view.sdevs],
-        },
-    }
-    if classifier.algo == "decision_tree":
-        obj["tree"] = _tree_to_obj(classifier.model)
-    else:
-        obj["network"] = {
-            "weights": [
-                [[_repr_float(v) for v in row] for row in W]
-                for W in classifier.model.weights
-            ],
-            "biases": [[_repr_float(v) for v in b] for b in classifier.model.biases],
-        }
-    return json.dumps(obj)
-
-
-def classifier_from_json(text):
-    obj = json.loads(text)
-    if obj.get("version") != SERIALIZATION_VERSION:
-        raise ConfigurationError(f"unsupported model version {obj.get('version')!r}")
-    view = FeatureView(
-        counters=tuple(obj["view"]["counters"]),
-        means=np.array([float(v) for v in obj["view"]["means"]]),
-        sdevs=np.array([float(v) for v in obj["view"]["sdevs"]]),
-    )
-    if obj["algo"] == "decision_tree":
-        model = _tree_from_obj(obj["tree"])
-    else:
-        model = Network(
-            weights=[
-                np.array([[float(v) for v in row] for row in W])
-                for W in obj["network"]["weights"]
-            ],
-            biases=[np.array([float(v) for v in b]) for b in obj["network"]["biases"]],
-        )
-    return TrainedClassifier(
-        algo=obj["algo"], view=view, model=model, training_seed=obj["training_seed"]
     )

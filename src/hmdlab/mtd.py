@@ -4,8 +4,7 @@ LFSR (uniform or best-classifier-priority policy)."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,31 +119,6 @@ class MtdRunReport:
     @property
     def accuracy(self):
         return self.pass_count / (self.pass_count + self.fail_count)
-
-    def to_json(self, include_records=False):
-        obj = {
-            "pass": self.pass_count,
-            "fail": self.fail_count,
-            "accuracy": self.accuracy,
-            "selection_histogram": list(self.selection_histogram),
-            "confusion": {
-                "tp": self.confusion.tp,
-                "tn": self.confusion.tn,
-                "fp": self.confusion.fp,
-                "fn": self.confusion.fn,
-            },
-            "metrics": {
-                "accuracy": self.metrics.accuracy,
-                "precision": self.metrics.precision,
-                "recall": self.metrics.recall,
-            },
-        }
-        if include_records:
-            obj["records"] = [
-                {"classifier": int(c), "predicted": int(p), "truth": int(t)}
-                for c, p, t in zip(self.chosen, self.predicted, self.truth)
-            ]
-        return json.dumps(obj)
 
 
 def _training_accuracies(members, train):

@@ -4,8 +4,7 @@ perf-style CSV ingestion/export, and train/test splitting."""
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,15 +52,12 @@ class HpcTrace:
 
     app_id: str
     label: str
-    interval_ms: int
     counters: tuple
     values: np.ndarray  # (iterations, len(counters)), non-negative int64
 
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"bad label {self.label!r}")
-        if self.interval_ms <= 0:
-            raise ValueError("interval_ms must be positive")
         vals = np.asarray(self.values, dtype=np.int64)
         if vals.ndim != 2 or vals.shape[0] < 1:
             raise ValueError("values must be a non-empty 2-D matrix")
@@ -86,7 +82,6 @@ class HpcTrace:
         return (
             self.app_id == other.app_id
             and self.label == other.label
-            and self.interval_ms == other.interval_ms
             and self.counters == other.counters
             and np.array_equal(self.values, other.values)
         )
@@ -99,7 +94,6 @@ class Dataset:
     """Immutable collection of traces with unique app ids."""
 
     traces: tuple
-    seed: int = 0
     provenance: str = "synthetic"
 
     def __post_init__(self):
@@ -157,7 +151,6 @@ class SyntheticProfile:
     log_sdev: np.ndarray  # (20,) idiosyncratic, > 0
     loadings: np.ndarray  # (20, n_factors)
     iterations: int = 20
-    interval_ms: int = 10
 
     def __post_init__(self):
         for name in ("benign_log_mean", "malware_log_mean", "log_sdev", "loadings"):
@@ -174,8 +167,8 @@ class SyntheticProfile:
             raise ProfileError("loadings must be (counters x factors)")
         if not np.isfinite(self.loadings).all():
             raise ProfileError("loadings must be finite")
-        if self.iterations < 1 or self.interval_ms < 1:
-            raise ProfileError("iterations and interval_ms must be >= 1")
+        if self.iterations < 1:
+            raise ProfileError("iterations must be >= 1")
 
 
 # Per-counter (benign log-mean, malware shift, idiosyncratic log-sdev,
@@ -208,7 +201,7 @@ _DEFAULT_ROWS = {
 }
 
 
-def default_profile(iterations=20, interval_ms=10):
+def default_profile(iterations=20):
     """The calibrated profile used by all default experiments."""
     rows = [_DEFAULT_ROWS[c] for c in HPC_CATALOG]
     benign = np.array([r[0] for r in rows])
@@ -221,7 +214,6 @@ def default_profile(iterations=20, interval_ms=10):
         log_sdev=sdev,
         loadings=loadings,
         iterations=iterations,
-        interval_ms=interval_ms,
     )
 
 
@@ -245,7 +237,6 @@ def generate_synthetic_dataset(profile, n_benign, n_malware, seed):
                 HpcTrace(
                     app_id=f"{label}-{i:04d}",
                     label=label,
-                    interval_ms=profile.interval_ms,
                     counters=HPC_CATALOG,
                     values=vals,
                 )
@@ -253,7 +244,7 @@ def generate_synthetic_dataset(profile, n_benign, n_malware, seed):
 
     draw("benign", profile.benign_log_mean, n_benign)
     draw("malware", profile.malware_log_mean, n_malware)
-    return Dataset(traces=tuple(traces), seed=seed, provenance="synthetic")
+    return Dataset(traces=tuple(traces), provenance="synthetic")
 
 
 def split_train_test(d, n_test_per_class, seed):
@@ -272,7 +263,7 @@ def split_train_test(d, n_test_per_class, seed):
         picked = set(order[:n_test_per_class].tolist())
         for i, t in enumerate(apps):
             (test if i in picked else train).append(t)
-    mk = lambda traces: Dataset(tuple(traces), seed=d.seed, provenance=d.provenance)
+    mk = lambda traces: Dataset(tuple(traces), provenance=d.provenance)
     return mk(train), mk(test)
 
 
@@ -294,10 +285,18 @@ def write_perf_csv(d, path):
                 w.writerow([t.app_id, t.label, it] + t.values[it].tolist())
 
 
+def _csv_rows(fh):
+    """CSV rows of a text file; ParseError if its bytes are not UTF-8."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8: {exc.reason}") from None
+
+
 def parse_perf_csv(path):
     """Ingest a perf-style CSV export into a Dataset (provenance=ingested)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -373,9 +372,8 @@ def parse_perf_csv(path):
             HpcTrace(
                 app_id=app_id,
                 label=label,
-                interval_ms=10,
                 counters=counters,
                 values=vals,
             )
         )
-    return Dataset(tuple(traces), seed=0, provenance="ingested")
+    return Dataset(tuple(traces), provenance="ingested")

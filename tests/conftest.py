@@ -20,11 +20,10 @@ def tiny_profile():
     return default_profile(iterations=5)
 
 
-def make_trace(app_id, label, counters, values, interval_ms=10):
+def make_trace(app_id, label, counters, values):
     return HpcTrace(
         app_id=app_id,
         label=label,
-        interval_ms=interval_ms,
         counters=tuple(counters),
         values=np.asarray(values, dtype=np.int64),
     )

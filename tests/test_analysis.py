@@ -8,31 +8,15 @@ from hypothesis import strategies as st
 
 from hmdlab.analysis import (
     BigCount,
-    binomial,
+    _digit_count,
     build_report,
     decimal_string,
     single_classifier_probability,
     sweep_curves,
     total_classifiers,
     total_combinations,
-    write_sweep_csv,
 )
 from hmdlab.errors import DomainError
-
-
-def test_binomial_known_values():
-    assert binomial(20, 8).exact == 125970
-    assert binomial(7, 0).exact == 1
-    assert binomial(0, 0).exact == 1
-    with pytest.raises(DomainError):
-        binomial(5, 6)
-    with pytest.raises(DomainError):
-        binomial(5, -1)
-
-
-def test_binomial_against_enumeration():
-    # brute-force oracle at small n
-    assert binomial(12, 5).exact == len(list(combinations(range(12), 5))) == 792
 
 
 def test_total_classifiers():
@@ -139,6 +123,19 @@ def test_digit_count_is_computed_once_and_only_when_read(monkeypatch):
     assert calls == [report.n_c.exact]
 
 
+def test_digit_count_at_powers_of_ten_and_two():
+    for k in range(1, 400):
+        for n in (10**k - 1, 10**k):
+            assert _digit_count(n) == len(str(n)), n
+    for b in range(1, 1400):
+        for n in (2**b - 1, 2**b):
+            assert _digit_count(n) == len(str(n)), n
+    # beyond str()'s digit limit, the count of 10**k is known exactly
+    for k in (5000, 123_457, 1_230_603):
+        assert _digit_count(10**k - 1) == k
+        assert _digit_count(10**k) == k + 1
+
+
 def test_sweep_curves():
     rows = sweep_curves([20, 40, 60, 80, 100], 4)
     assert rows[0]["n_h"] == 6195
@@ -150,11 +147,3 @@ def test_sweep_curves():
     with pytest.raises(DomainError):
         sweep_curves([2], 4)
 
-
-def test_write_sweep_csv(tmp_path):
-    rows = sweep_curves([20, 40], 4)
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "h_t,n_h,n_c_log10"
-    assert lines[1].startswith("20,6195,")

@@ -7,7 +7,6 @@ from hmdlab.features import (
     CorrelationMatrix,
     FeatureScores,
     correlation_matrix,
-    export_heatmap,
     feature_importance_scores,
     propose_hpc_groups,
     univariate_select_k_best,
@@ -173,9 +172,6 @@ def test_grouping_greedy_toy_matrix():
     g = propose_hpc_groups(chi2, imp, corr, n_groups=2, r_max=4)
     assert g.groups[0] == ("branch-instructions", "branch-misses", "bus-cycles")
     assert g.groups[1] == ("cache-misses",)
-    assert g.rationale[0]["mean_intra_correlation"] == pytest.approx(
-        (0.95 + 0.92 + 0.93) / 3
-    )
 
 
 def test_grouping_singletons_cover_catalog(small_dataset):
@@ -206,18 +202,3 @@ def test_grouping_disjoint_and_sized(small_dataset):
         assert 1 <= len(grp) <= 4
         assert not seen.intersection(grp)
         seen.update(grp)
-    assert len(g.rationale) == 5
-
-
-def test_export_heatmap(tmp_path, small_dataset):
-    corr = correlation_matrix(small_dataset)
-    csv_path = tmp_path / "heat.csv"
-    json_path = tmp_path / "heat.json"
-    export_heatmap(corr, csv_path, json_path)
-    rows = csv_path.read_text().strip().split("\n")
-    assert len(rows) == 20
-    assert len(rows[0].split(",")) == 20
-    import json
-
-    sidecar = json.loads(json_path.read_text())
-    assert tuple(sidecar["counters"]) == corr.counters

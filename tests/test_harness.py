@@ -102,7 +102,7 @@ def test_attack_seed_full_evasion_leaves_precision_drop_undefined():
     no attacked precision, so the drop is undefined rather than a crash."""
 
     def trace(app_id, label, branch_misses):
-        return HpcTrace(app_id, label, 10, ("branch-misses",), [[branch_misses]])
+        return HpcTrace(app_id, label, ("branch-misses",), [[branch_misses]])
 
     # Malware iff branch-misses <= 100; the attack pushes it far above.
     root = TreeNode(p_malware=0.5, n=2)
@@ -247,12 +247,13 @@ def test_cli_plot_data(tmp_path, capsys):
     report_path = str(tmp_path / "report-combinatorics.json")
     rc = main(["plot-data", report_path, "--figure", "hpc-sweep"])
     assert rc == 0
-    out = capsys.readouterr().out.strip().split("\n")
+    stdout = capsys.readouterr().out
+    out = stdout.strip().split("\n")
     assert out[0] == "series,x,y"
     assert len(out) > 1
     csv_out = tmp_path / "plot.csv"
     assert main(["plot-data", report_path, "--figure", "hpc-sweep", "--out", str(csv_out)]) == 0
-    assert csv_out.read_text().startswith("series,x,y")
+    assert csv_out.read_text() == stdout
 
 
 def test_cli_plot_data_mismatch_exit_code(tmp_path, capsys):
@@ -297,6 +298,13 @@ def test_cli_run_rejects_csv_missing_a_counter(tmp_path, capsys):
     argv = ["run", "baseline", "--csv", str(path), "--n-test", "1", "--seed", "1"]
     assert main(argv) == 2
     assert "lacks counter" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"app_id,label,iteration,instructions\na,benign,0,1\xff2\n")
+    assert main(["run", "baseline", "--csv", str(path), "--seed", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [b"{not json", b"5", b"[]", b"\xff\xfe"])

@@ -1,5 +1,4 @@
 import gc
-import json
 import weakref
 
 import numpy as np
@@ -22,8 +21,6 @@ from hmdlab.models import (
     Network,
     TrainedClassifier,
     TreeNode,
-    classifier_from_json,
-    classifier_to_json,
     compute_metrics,
     confusion_from_predictions,
     fit,
@@ -31,7 +28,6 @@ from hmdlab.models import (
     fit_tree_arrays,
     grow_cart,
     input_gradient,
-    predict_iteration,
     reduced_error_prune,
     train_classifier,
     tree_predict_scores,
@@ -257,7 +253,7 @@ def test_training_invariant_under_input_scaling():
 
 
 # ---------------------------------------------------------------------------
-# predict_iteration
+# Classifying single rows
 
 
 def test_predict_iteration_tree_walk():
@@ -272,23 +268,16 @@ def test_predict_iteration_tree_walk():
         model=root,
         training_seed=0,
     )
-    label, score = predict_iteration(clf, {"instructions": 150})
-    assert (label, score) == ("malware", 1.0)
-    label, score = predict_iteration(clf, {"instructions": 50})
-    assert (label, score) == ("benign", 0.0)
+    rows = np.array([[150], [50]])
+    np.testing.assert_array_equal(clf.scores(rows, ("instructions",)), [1.0, 0.0])
+    np.testing.assert_array_equal(clf.predict_labels(rows, ("instructions",)), [1, 0])
 
 
 def test_predict_iteration_zero_network_is_malware_by_ge_rule():
     clf = _linear_net(_identity_view(TWO), [0.0, 0.0])
-    label, score = predict_iteration(clf, {"branch-misses": 5, "instructions": 9})
-    assert score == 0.5
-    assert label == "malware"
-
-
-def test_predict_iteration_missing_counter():
-    clf = _linear_net(_identity_view(TWO), [1.0, 1.0])
-    with pytest.raises(FeatureMismatchError):
-        predict_iteration(clf, {"branch-misses": 5})
+    row = np.array([[5, 9]])
+    assert clf.scores(row, TWO)[0] == 0.5
+    assert clf.predict_labels(row, TWO)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -423,32 +412,3 @@ def test_metrics_bounds_property(counts):
     assert 0.0 <= m.accuracy <= 1.0
     for v in (m.precision, m.recall):
         assert v is None or 0.0 <= v <= 1.0
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_serialization_roundtrip_tree(small_dataset):
-    clf = train_classifier("decision_tree", small_dataset, TWO, 4)
-    back = classifier_from_json(classifier_to_json(clf))
-    X, _ = small_dataset.stack(TWO)
-    np.testing.assert_array_equal(clf.scores(X, TWO), back.scores(X, TWO))
-    assert back.training_seed == 4
-
-
-def test_serialization_roundtrip_network(small_dataset):
-    clf = train_classifier(
-        "neural_network", small_dataset, TWO, 4, network_params={"epochs": 50}
-    )
-    back = classifier_from_json(classifier_to_json(clf))
-    X, _ = small_dataset.stack(TWO)
-    np.testing.assert_array_equal(clf.scores(X, TWO), back.scores(X, TWO))
-
-
-def test_serialization_rejects_unknown_version():
-    clf = _linear_net(_identity_view(TWO), [1.0, 2.0])
-    obj = json.loads(classifier_to_json(clf))
-    obj["version"] = 99
-    with pytest.raises(ConfigurationError):
-        classifier_from_json(json.dumps(obj))

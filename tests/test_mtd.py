@@ -213,17 +213,6 @@ def test_classify_stream_empty_dataset():
         classify_stream(pool, Dataset(()))
 
 
-def test_report_json_shape():
-    pool = _pool([_stub_tree("branch-misses", 100), _stub_tree("instructions", 100)])
-    report = classify_stream(pool, _stream_dataset(n_apps=2, iterations=5))
-    import json
-
-    obj = json.loads(report.to_json(include_records=True))
-    assert obj["pass"] + obj["fail"] == 10
-    assert len(obj["records"]) == 10
-    assert "records" not in json.loads(report.to_json())
-
-
 # ---------------------------------------------------------------------------
 # Sweeps and the selection-schedule identities
 

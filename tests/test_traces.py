@@ -172,11 +172,12 @@ def test_parse_header_only(tmp_path):
         "app_id,label,iteration,instructions\na,benign,0,1\na,benign,0,2\n",
         "app_id,label,iteration,instructions\na,benign,1,1\n",  # gap at 0
         "app_id,label,iteration,instructions\na,benign,0,9223372036854775808\n",
+        b"app_id,label,iteration,instructions\na,benign,0,1\xff2\n",  # not UTF-8
     ],
 )
 def test_parse_rejects_malformed(tmp_path, body):
     path = tmp_path / "bad.csv"
-    path.write_text(body)
+    path.write_bytes(body.encode() if isinstance(body, str) else body)
     with pytest.raises(ParseError):
         parse_perf_csv(path)
 
