@@ -12,6 +12,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     CounterRangeError,
+    DataError,
     OracleError,
     ShapeError,
     UnsupportedModelError,
@@ -67,7 +68,7 @@ class Perturbation:
             if arr.shape != (self.n_rows,):
                 raise ShapeError(f"delta for {c!r} has wrong length")
             if (arr < 0).any():
-                raise ValueError("deltas must be non-negative")
+                raise DataError("deltas must be non-negative")
             arr.setflags(write=False)
             clean[c] = arr
         object.__setattr__(self, "deltas", clean)

@@ -23,6 +23,10 @@ class SplitSizeError(HmdlabError):
     """Train/test split would leave a class empty."""
 
 
+class DataError(HmdlabError):
+    """A trace, dataset, perturbation or count breaks its own invariants."""
+
+
 class DegenerateDataError(HmdlabError):
     """Dataset lacks both labels or is otherwise unusable for the operation."""
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DataError,
     DegenerateDataError,
     DivergenceError,
     EmptyEvaluationError,
@@ -188,21 +189,19 @@ def tree_predict_scores(root, X):
 
 
 def _prune(node, X_prune, y_prune, idx):
+    """Prune the subtree at `node` on the prune rows `idx` that reach it and
+    return its error count on them: a leaf's own, else its pruned children's."""
+    leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != y_prune[idx]).sum())
     if node.is_leaf():
-        return
+        return leaf_errors
     mask = X_prune[idx, node.feature] <= node.threshold
-    _prune(node.left, X_prune, y_prune, idx[mask])
-    _prune(node.right, X_prune, y_prune, idx[~mask])
-    if len(idx) == 0:
-        # No evidence either way; prefer the simpler leaf.
-        node.feature = node.threshold = node.left = node.right = None
-        return
-    yi = y_prune[idx]
-    scores = tree_predict_scores(node, X_prune[idx])
-    subtree_errors = int(((scores >= 0.5).astype(int) != yi).sum())
-    leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != yi).sum())
+    left_errors = _prune(node.left, X_prune, y_prune, idx[mask])
+    subtree_errors = left_errors + _prune(node.right, X_prune, y_prune, idx[~mask])
+    # Without rows both counts are 0, and the simpler leaf wins.
     if leaf_errors <= subtree_errors:
         node.feature = node.threshold = node.left = node.right = None
+        return leaf_errors
+    return subtree_errors
 
 
 def reduced_error_prune(root, X_prune, y_prune):
@@ -233,49 +232,73 @@ class Network:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
-    def _forward(self, Xs):
-        """Layer inputs, hidden pre-activations and scores for standardized
-        rows Xs (n, d); activations are column-major, (units, n)."""
-        acts, zs = [Xs.T], []
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            zs.append(W @ acts[-1] + b[:, None])
-            acts.append(np.maximum(zs[-1], 0.0))
-        z = self.weights[-1] @ acts[-1] + self.biases[-1][:, None]
-        return acts, zs, _sigmoid(z[0])
+    def _forward(self, ws):
+        """Fill workspace `ws` with the hidden activations and the scores
+        (1, n) of its rows; return the scores."""
+        for i, (W, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            a = ws.acts[i + 1] = np.matmul(W, ws.acts[i], out=ws.acts[i + 1])
+            a += b[:, None]
+            np.maximum(a, 0.0, out=a)
+        s = ws.scores = np.matmul(self.weights[-1], ws.acts[-1], out=ws.scores)
+        s += self.biases[-1][:, None]
+        # The sigmoid 0.5 * (1 + tanh(0.5 * z)), in place.
+        s *= 0.5
+        np.tanh(s, out=s)
+        s += 1.0
+        s *= 0.5
+        return s
 
-    def _backward(self, delta, zs):
-        """Every layer's delta, first to last, from the output delta (1, n)."""
-        deltas = [delta]
-        for W, z in zip(self.weights[:0:-1], reversed(zs)):
-            deltas.append((W.T @ deltas[-1]) * (z > 0))
-        return deltas[::-1]
+    def _backward(self, ws):
+        """Fill every layer's delta in `ws`, last to first, from the output
+        delta (1, n) the caller wrote to ws.deltas[-1]."""
+        deltas, masks = ws.deltas, ws.masks
+        for i in range(len(self.weights) - 1, 0, -1):
+            W = self.weights[i]
+            # With one row in W, each entry of W.T @ delta is one exact product.
+            product = np.multiply if len(W) == 1 else np.matmul
+            deltas[i - 1] = product(W.T, deltas[i], out=deltas[i - 1])
+            # A ReLU unit's output is positive exactly where its input is.
+            masks[i - 1] = np.greater(ws.acts[i], 0.0, out=masks[i - 1])
+            deltas[i - 1] *= masks[i - 1]
 
     def forward(self, Xs):
         """Scores for standardized rows Xs (n, d)."""
-        return self._forward(Xs)[2]
+        return self._forward(_Workspace(Xs, len(self.weights)))[0]
 
     def train(self, Xs, y, epochs, lr):
         n = len(y)
+        ws = _Workspace(Xs, len(self.weights))
         for epoch in range(epochs):
-            acts, zs, s = self._forward(Xs)
+            s = self._forward(ws)
             # Scores lie in [0, 1] unless NaN, so this is where the loss
             # stops being finite.
             if not np.isfinite(s).all():
                 raise DivergenceError(epoch)
-            deltas = self._backward(((s - y) / n)[None, :], zs)
-            for W, b, a, delta in zip(self.weights, self.biases, acts, deltas):
+            ws.deltas[-1] = np.subtract(s, y, out=ws.deltas[-1])
+            ws.deltas[-1] /= n
+            self._backward(ws)
+            for W, b, a, delta in zip(self.weights, self.biases, ws.acts, ws.deltas):
                 W -= lr * (delta @ a.T)
                 b -= lr * delta.sum(axis=1)
 
     def input_gradient(self, Xs, y):
         """d(BCE loss)/d(standardized input) for rows Xs (n, d)."""
-        _, zs, s = self._forward(Xs)
-        delta = self._backward((s - y)[None, :], zs)[0]
-        return (self.weights[0].T @ delta).T
+        ws = _Workspace(Xs, len(self.weights))
+        ws.deltas[-1] = self._forward(ws) - y
+        self._backward(ws)
+        return (self.weights[0].T @ ws.deltas[0]).T
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+class _Workspace:
+    """The (units, n) arrays a Network pass over rows Xs (n, d) fills in
+    place. The first pass to write one allocates it, so a fit allocates each
+    once and a forward pass allocates no backward arrays."""
+
+    def __init__(self, Xs, n_layers):
+        self.acts = [Xs.T] + [None] * (n_layers - 1)  # each layer's input
+        self.scores = None
+        self.masks = [None] * (n_layers - 1)  # of the hidden layers
+        self.deltas = [None] * n_layers
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +388,7 @@ def input_gradient(classifier, rows, target_label):
     if classifier.algo != "neural_network":
         raise UnsupportedModelError("input gradients need a neural network")
     if target_label not in ("benign", "malware"):
-        raise ValueError(f"bad label {target_label!r}")
+        raise ConfigurationError(f"bad label {target_label!r}")
     raw = np.asarray(rows, dtype=np.float64)
     if raw.ndim not in (1, 2) or raw.shape[-1] != len(classifier.view.counters):
         raise FeatureMismatchError("row length does not match the view")
@@ -389,7 +412,7 @@ class ConfusionCounts:
 
     def __post_init__(self):
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("counts must be non-negative")
+            raise DataError("counts must be non-negative")
 
     @property
     def total(self):

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeatureMismatchError, ParseError, ProfileError, SplitSizeError
+from .errors import ConfigurationError, DataError, FeatureMismatchError
+from .errors import ParseError, ProfileError, SplitSizeError
 
 # Canonical 20-counter catalog. Order is the global tie-break order.
 HPC_CATALOG = (
@@ -57,17 +58,17 @@ class HpcTrace:
 
     def __post_init__(self):
         if self.label not in LABELS:
-            raise ValueError(f"bad label {self.label!r}")
+            raise DataError(f"bad label {self.label!r}")
         vals = np.asarray(self.values, dtype=np.int64)
         if vals.ndim != 2 or vals.shape[0] < 1:
-            raise ValueError("values must be a non-empty 2-D matrix")
+            raise DataError("values must be a non-empty 2-D matrix")
         if vals.shape[1] != len(self.counters):
-            raise ValueError("row width does not match counter list")
+            raise DataError("row width does not match counter list")
         if (vals < 0).any():
-            raise ValueError("counter values cannot be negative")
+            raise DataError("counter values cannot be negative")
         for c in self.counters:
             if c not in CATALOG_INDEX:
-                raise ValueError(f"unknown counter {c!r}")
+                raise DataError(f"unknown counter {c!r}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "counters", tuple(self.counters))
@@ -100,9 +101,9 @@ class Dataset:
         object.__setattr__(self, "traces", tuple(self.traces))
         ids = [t.app_id for t in self.traces]
         if len(set(ids)) != len(ids):
-            raise ValueError("app_ids must be unique within a dataset")
+            raise DataError("app_ids must be unique within a dataset")
         if self.provenance not in ("synthetic", "ingested"):
-            raise ValueError(f"bad provenance {self.provenance!r}")
+            raise DataError(f"bad provenance {self.provenance!r}")
 
     def __len__(self):
         return len(self.traces)
@@ -220,7 +221,7 @@ def default_profile(iterations=20):
 def generate_synthetic_dataset(profile, n_benign, n_malware, seed):
     """Draw a labeled dataset from the profile; deterministic per seed."""
     if n_benign < 1 or n_malware < 1:
-        raise ValueError("counts must be >= 1")
+        raise ConfigurationError("counts must be >= 1")
     rng = np.random.default_rng(seed)
     n_counters = len(HPC_CATALOG)
     n_factors = profile.loadings.shape[1]
@@ -274,7 +275,7 @@ def write_perf_csv(d, path):
         if counters is None:
             counters = t.counters
         elif t.counters != counters:
-            raise ValueError("all traces must share one counter list for export")
+            raise DataError("all traces must share one counter list for export")
     if counters is None:
         counters = HPC_CATALOG
     with open(path, "w", encoding="utf-8", newline="") as fh:

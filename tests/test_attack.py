@@ -16,6 +16,7 @@ from hmdlab.attack import (
 from hmdlab.errors import (
     ConfigurationError,
     CounterRangeError,
+    DataError,
     OracleError,
     ShapeError,
     UnsupportedModelError,
@@ -70,7 +71,7 @@ def test_budget_validation():
 
 
 def test_perturbation_rejects_negative_and_misshapen():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         Perturbation(n_rows=2, deltas={"branch-misses": np.array([1, -1])})
     with pytest.raises(ShapeError):
         Perturbation(n_rows=2, deltas={"branch-misses": np.array([1, 2, 3])})

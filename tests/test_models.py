@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_trace, two_class_dataset
 from hmdlab.errors import (
     ConfigurationError,
+    DataError,
     DegenerateDataError,
     DivergenceError,
     EmptyEvaluationError,
@@ -118,6 +119,51 @@ def test_pruning_never_adds_nodes():
     assert pruned.node_count() <= before
 
 
+def _reference_prune(node, X_prune, y_prune, idx):
+    """Reduced-error pruning that re-predicts every subtree on its rows."""
+    if node.is_leaf():
+        return
+    mask = X_prune[idx, node.feature] <= node.threshold
+    _reference_prune(node.left, X_prune, y_prune, idx[mask])
+    _reference_prune(node.right, X_prune, y_prune, idx[~mask])
+    if len(idx) == 0:
+        node.feature = node.threshold = node.left = node.right = None
+        return
+    yi = y_prune[idx]
+    scores = tree_predict_scores(node, X_prune[idx])
+    subtree_errors = int(((scores >= 0.5).astype(int) != yi).sum())
+    leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != yi).sum())
+    if leaf_errors <= subtree_errors:
+        node.feature = node.threshold = node.left = node.right = None
+
+
+def _structure(node):
+    if node.is_leaf():
+        return (node.p_malware, node.n)
+    return (node.feature, node.threshold, _structure(node.left), _structure(node.right))
+
+
+def test_pruning_by_bottom_up_counts_matches_re_predicting_each_subtree():
+    sizes = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 3))
+        y = ((X[:, 0] + X[:, 1] > 0) ^ (rng.random(300) < 0.3)).astype(np.int64)
+        for n_prune in (0, 4, 100):
+            X_grow, y_grow = X[: 300 - n_prune], y[: 300 - n_prune]
+            X_prune, y_prune = X[300 - n_prune :], y[300 - n_prune :]
+            expected = grow_cart(X_grow, y_grow, max_depth=8, min_leaf=1)
+            full = expected.node_count()
+            _reference_prune(expected, X_prune, y_prune, np.arange(n_prune))
+            pruned = reduced_error_prune(
+                grow_cart(X_grow, y_grow, max_depth=8, min_leaf=1), X_prune, y_prune
+            )
+            assert _structure(pruned) == _structure(expected)
+            sizes.append((full, pruned.node_count()))
+    # Some trees are cut part of the way, so both branches are exercised.
+    assert any(1 < after < before for before, after in sizes)
+
+
 def test_growing_and_pruning_keep_no_reference_to_their_rows():
     # Bootstrap copies must die with their last caller reference, not wait
     # for the cyclic collector.
@@ -162,6 +208,63 @@ def test_tree_param_validation():
 # Neural network
 
 
+def _reference_train(weights, biases, Xs, y, epochs, lr):
+    """Full-batch training as plain per-epoch arithmetic that allocates every
+    array anew. Updates the lists in place; returns the epoch at which the
+    scores stop being finite, or None."""
+    n = len(y)
+    for epoch in range(epochs):
+        acts, zs = [Xs.T], []
+        for W, b in zip(weights[:-1], biases[:-1]):
+            zs.append(W @ acts[-1] + b[:, None])
+            acts.append(np.maximum(zs[-1], 0.0))
+        z = weights[-1] @ acts[-1] + biases[-1][:, None]
+        s = 0.5 * (1.0 + np.tanh(0.5 * z[0]))
+        if not np.isfinite(s).all():
+            return epoch
+        deltas = [((s - y) / n)[None, :]]
+        for W, z in zip(weights[:0:-1], reversed(zs)):
+            deltas.append((W.T @ deltas[-1]) * (z > 0))
+        for W, b, a, delta in zip(weights, biases, acts, deltas[::-1]):
+            W -= lr * (delta @ a.T)
+            b -= lr * delta.sum(axis=1)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("hidden", [(16,), (8, 4), (1,)])
+def test_network_train_is_bit_identical_to_the_reference_epoch(hidden, d, n):
+    rng = np.random.default_rng(len(hidden) * 100 + d * 10 + n)
+    Xs = rng.normal(size=(n, d))
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    net = Network.init([d, *hidden, 1], seed=n)
+    weights = [W.copy() for W in net.weights]
+    biases = [b.copy() for b in net.biases]
+    assert _reference_train(weights, biases, Xs, y, 40, 0.5) is None
+    net.train(Xs, y, epochs=40, lr=0.5)
+    for got, want in zip(net.weights + net.biases, weights + biases):
+        assert np.array_equal(got, want)
+
+
+def test_network_fit_keeps_no_reference_to_its_rows():
+    # Trained pool members must not keep a fit's rows or buffers alive.
+    rng = np.random.default_rng(3)
+    Xs = rng.normal(size=(200, 4))
+    y = (Xs[:, 0] > 0).astype(np.float64)
+    ref = weakref.ref(Xs)
+    net = Network.init([4, 8, 4, 1], seed=0)
+    gc.disable()
+    try:
+        net.train(Xs, y, epochs=5, lr=0.05)
+        del Xs
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert sorted(vars(net)) == ["biases", "weights"]
+    assert all(a.base is None for a in net.weights + net.biases)
+
+
 def test_network_learns_xor():
     base = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.float64)
     rng = np.random.default_rng(0)
@@ -196,6 +299,14 @@ def test_network_divergence_reports_epoch():
         )
     assert 0 <= err.value.epoch < 50
     assert f"epoch {err.value.epoch}" in str(err.value)
+    X, y = d.stack(TWO)
+    ref = Network.init([2, 4, 1], seed=0)
+    with np.errstate(all="ignore"):
+        epoch = _reference_train(
+            ref.weights, ref.biases, FeatureView.from_rows(TWO, X).standardize(X),
+            y.astype(np.float64), 50, 1e10,
+        )
+    assert err.value.epoch == epoch
 
 
 def test_network_with_nan_weight_diverges_at_epoch_zero():
@@ -366,7 +477,7 @@ def test_gradient_requires_network_and_valid_label():
     with pytest.raises(UnsupportedModelError):
         input_gradient(tree, np.array([1.0, 2.0]), "malware")
     net = _linear_net(_identity_view(TWO), [1.0, 1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         input_gradient(net, np.array([1.0, 2.0]), "suspicious")
     with pytest.raises(FeatureMismatchError):
         input_gradient(net, np.array([1.0, 2.0, 3.0]), "malware")
@@ -393,7 +504,7 @@ def test_metrics_undefined_denominators():
     assert m.recall is None
     with pytest.raises(EmptyEvaluationError):
         compute_metrics(ConfusionCounts(tp=0, tn=0, fp=0, fn=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         ConfusionCounts(tp=-1, tn=0, fp=0, fn=0)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from hmdlab.errors import ParseError, SplitSizeError
+from hmdlab.errors import ConfigurationError, DataError, ParseError, SplitSizeError
 from hmdlab.traces import (
     CATALOG_INDEX,
     HPC_CATALOG,
@@ -33,13 +33,13 @@ def test_catalog_order_sorts_by_position():
 
 
 def test_trace_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         make_trace("a", "weird", ("instructions",), [[1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         make_trace("a", "benign", ("instructions",), [[-1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         make_trace("a", "benign", ("not-a-counter",), [[1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         make_trace("a", "benign", ("instructions", "cpu-cycles"), [[1]])
 
 
@@ -51,11 +51,22 @@ def test_trace_values_are_frozen():
 
 def test_dataset_unique_ids_and_labels():
     t = make_trace("a", "benign", ("instructions",), [[1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         Dataset((t, t))
     d = Dataset((t,))
     assert not d.has_both_labels()
     assert d.by_label("malware") == []
+
+
+def test_bad_counts_provenance_and_mixed_export_raise_hmdlab_errors(tmp_path):
+    with pytest.raises(ConfigurationError):
+        generate_synthetic_dataset(default_profile(iterations=2), 0, 1, 0)
+    a = make_trace("a", "benign", ("instructions",), [[1]])
+    b = make_trace("b", "malware", ("cpu-cycles",), [[1]])
+    with pytest.raises(DataError):
+        Dataset((a,), provenance="scraped")
+    with pytest.raises(DataError):
+        write_perf_csv(Dataset((a, b)), tmp_path / "mixed.csv")
 
 
 def test_generate_counts_and_nonnegativity():
