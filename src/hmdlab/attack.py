@@ -202,18 +202,25 @@ def inject(trace, p):
     )
 
 
-def strengthen(p, extra_branch_misses, coupling=None):
-    """Add a flat per-row branch-miss load (with coupling) on top of p."""
+def flat_injection(extra_branch_misses, coupling=None):
+    """Per-row events by counter of a flat `extra_branch_misses` load, with
+    coupling; None when one exceeds half the counter range."""
     if extra_branch_misses < 0:
         raise ConfigurationError("extra branch-misses must be >= 0")
-    if extra_branch_misses == 0:
-        return p
     coupling = DEFAULT_COUPLING["branch-misses"] if coupling is None else coupling
     extra = {"branch-misses": int(extra_branch_misses)}
     for side, coef in coupling.items():
         extra[side] = extra.get(side, 0) + int(round(coef * extra_branch_misses))
-    if any(v > INT64_MAX // 2 for v in extra.values()):
+    return None if any(v > INT64_MAX // 2 for v in extra.values()) else extra
+
+
+def strengthen(p, extra_branch_misses, coupling=None):
+    """Add a flat per-row branch-miss load (with coupling) on top of p."""
+    extra = flat_injection(extra_branch_misses, coupling)
+    if extra is None:
         raise CounterRangeError("extra injection exceeds the counter range")
+    if extra_branch_misses == 0:
+        return p
     flat = Perturbation(
         n_rows=p.n_rows,
         deltas={c: np.full(p.n_rows, v, dtype=np.int64) for c, v in extra.items()},

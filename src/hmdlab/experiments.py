@@ -16,6 +16,7 @@ from . import analysis
 from .attack import (
     AttackBudget,
     craft_perturbation,
+    flat_injection,
     inject,
     reverse_engineer,
     strengthen,
@@ -91,7 +92,6 @@ class ExperimentConfig:
     # attack
     epsilon: float = 1.0
     max_inject: dict | None = None
-    surrogate_algos: tuple = ("neural_network",)
     extras: tuple = (10_000_000, 20_000_000, 40_000_000)
     # classifiers
     max_depth: int = 8
@@ -131,9 +131,8 @@ class ExperimentConfig:
         self._check("max_inject", self.max_inject is None
                     or isinstance(self.max_inject, dict)
                     and all(_real(v, 0) for v in self.max_inject.values()))
-        self._check("surrogate_algos", len(self.surrogate_algos) > 0
-                    and all(a in ALGOS for a in self.surrogate_algos))
-        self._check("extras", _ints(self.extras, 0))
+        self._check("extras", _ints(self.extras, 0)
+                    and all(flat_injection(e) is not None for e in self.extras))
         self._check("prune_fraction", _real(self.prune_fraction, 0, 1)
                     and self.prune_fraction < 1)
         self._check("hidden", len(self.hidden) > 0 and _ints(self.hidden, 1))
@@ -176,8 +175,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         obj = dict(obj)
-        for key in ("seeds", "hidden", "sizes", "extras", "sweep_h_t",
-                    "surrogate_algos"):
+        for key in ("seeds", "hidden", "sizes", "extras", "sweep_h_t"):
             if key in obj:
                 if not isinstance(obj[key], list):
                     raise ConfigurationError(f"{key} must be a list")
@@ -192,14 +190,6 @@ class ExperimentConfig:
             except ValueError as exc:  # not JSON, or not UTF-8
                 raise ConfigurationError(f"{path} is not JSON: {exc}")
         return cls.from_dict(obj)
-
-
-def _metrics_dict(metrics):
-    return {
-        "accuracy": metrics.accuracy,
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-    }
 
 
 def _evaluate(classifier, traces):
@@ -263,7 +253,7 @@ class SeedContext:
             self._surrogate = reverse_engineer(
                 self.victim("decision_tree").predict_labels,
                 probe,
-                list(cfg.surrogate_algos),
+                ["neural_network"],
                 seed=self.seed + 13,
                 counters=ATTACK_HPCS,
                 tree_params=cfg.tree_params,
@@ -308,7 +298,7 @@ class SeedContext:
 
 def _baseline_seed(ctx):
     return {
-        algo: {"clean": _metrics_dict(_evaluate(ctx.victim(algo), ctx.test.traces))}
+        algo: {"clean": asdict(_evaluate(ctx.victim(algo), ctx.test.traces))}
         for algo in ALGOS
     }
 
@@ -321,8 +311,8 @@ def _attack_seed(ctx):
         clean = _evaluate(victim, ctx.test.traces)
         hit = _evaluate(victim, attacked + ctx.test_benign)
         out[algo] = {
-            "clean": _metrics_dict(clean),
-            "attacked": _metrics_dict(hit),
+            "clean": asdict(clean),
+            "attacked": asdict(hit),
             # precision is None when no row is flagged, as after full evasion
             "precision_drop": None
             if None in (clean.precision, hit.precision)
@@ -336,7 +326,7 @@ def _mtd_seed(ctx):
     out = _attack_seed(ctx)
     for algo in ALGOS:
         report = classify_stream(ctx.pool([algo, algo]), Dataset(tuple(attacked_test)))
-        out[algo]["mtd"] = _metrics_dict(report.metrics)
+        out[algo]["mtd"] = asdict(report.metrics)
         out[algo]["mtd_selection_histogram"] = list(report.selection_histogram)
     return out
 

@@ -65,31 +65,41 @@ class FeatureView:
 # Decision tree
 
 
-class TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "p_malware", "n")
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A grown CART as parallel node arrays in depth-first pre-order, so each
+    child comes after its parent. A row goes left at an inner node when its
+    value on `feature` is <= `threshold`. At a leaf, `feature`, `left` and
+    `right` are -1 and `threshold` is NaN; `p_malware` is the malware share
+    of the training rows that reached the node."""
 
-    def __init__(self, p_malware, n):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.p_malware = p_malware
-        self.n = n
-
-    def is_leaf(self):
-        return self.feature is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    p_malware: np.ndarray
 
     def node_count(self):
-        if self.is_leaf():
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
+        return len(self.feature)
 
+    def leaves(self, X):
+        """Index of the leaf each row of X reaches."""
+        out = np.empty(len(X), dtype=np.intp)
+        stack = [(0, np.arange(len(X)))] if len(X) else []
+        while stack:
+            node, idx = stack.pop()
+            f = self.feature[node]
+            if f < 0:
+                out[idx] = node
+                continue
+            mask = X[idx, f] <= self.threshold[node]  # the rows that go left
+            for child, rows in ((self.left, idx[mask]), (self.right, idx[~mask])):
+                if len(rows):
+                    stack.append((child[node], rows))
+        return out
 
-def _gini(n_pos, n):
-    if n == 0:
-        return 0.0
-    p = n_pos / n
-    return 2.0 * p * (1.0 - p)
+    def scores(self, X):
+        return self.p_malware[self.leaves(X)]
 
 
 def _best_split(x, y, min_leaf):
@@ -99,7 +109,8 @@ def _best_split(x, y, min_leaf):
     xs, ys = x[order], y[order]
     cum_pos = np.cumsum(ys)
     total_pos = cum_pos[-1]
-    parent = _gini(total_pos, n)
+    p = total_pos / n
+    parent = 2.0 * p * (1.0 - p)  # Gini impurity
 
     n_left = np.arange(1, n)
     n_right = n - n_left
@@ -132,16 +143,20 @@ def grow_cart(
     """Grow a CART on (X, y). `feature_subsample` draws that many candidate
     features per split from `rng`; `importance_out` accumulates node-weighted
     Gini decrease per feature."""
-    n_total = len(y)
-
-    def build(idx, depth):
+    n_total, k = X.shape
+    nodes = []  # [feature, threshold, left, right, p_malware] per node
+    stack = [(np.arange(n_total), 0, None)]  # rows, depth, parent of a right child
+    while stack:
+        idx, depth, parent = stack.pop()
+        if parent is not None:
+            parent[3] = len(nodes)
         yi = y[idx]
         n = len(idx)
         n_pos = int(yi.sum())
-        node = TreeNode(p_malware=n_pos / n, n=n)
+        node = [-1, np.nan, -1, -1, n_pos / n]
+        nodes.append(node)
         if depth >= max_depth or n < 2 * min_leaf or n_pos in (0, n):
-            return node
-        k = X.shape[1]
+            continue
         if feature_subsample is not None and feature_subsample < k:
             feats = np.sort(rng.choice(k, size=feature_subsample, replace=False))
         else:
@@ -155,60 +170,52 @@ def grow_cart(
             if best is None or dec > best[0] + 1e-15:
                 best = (dec, int(f), threshold)
         if best is None:
-            return node
+            continue
         dec, f, threshold = best
         if importance_out is not None:
             importance_out[f] += dec * n / n_total
-        node.feature = f
-        node.threshold = threshold
-        left_mask = X[idx, f] <= threshold
-        node.left = build(idx[left_mask], depth + 1)
-        node.right = build(idx[~left_mask], depth + 1)
-        return node
-
-    root = build(np.arange(n_total), 0)
-    # `build` refers to itself; clearing the name breaks that cycle, so X is
-    # freed when the caller drops it rather than at the next gc pass.
-    del build
-    return root
+        node[:3] = f, threshold, len(nodes)  # the left child is grown next
+        goes_left = X[idx, f] <= threshold
+        stack.append((idx[~goes_left], depth + 1, node))
+        stack.append((idx[goes_left], depth + 1, None))
+    return Tree(*(np.array(column) for column in zip(*nodes)))
 
 
-def _tree_scores(node, X, idx, out):
-    if node.is_leaf():
-        out[idx] = node.p_malware
-        return
-    mask = X[idx, node.feature] <= node.threshold
-    _tree_scores(node.left, X, idx[mask], out)
-    _tree_scores(node.right, X, idx[~mask], out)
-
-
-def tree_predict_scores(root, X):
-    out = np.empty(len(X))
-    _tree_scores(root, X, np.arange(len(X)), out)
-    return out
-
-
-def _prune(node, X_prune, y_prune, idx):
-    """Prune the subtree at `node` on the prune rows `idx` that reach it and
-    return its error count on them: a leaf's own, else its pruned children's."""
-    leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != y_prune[idx]).sum())
-    if node.is_leaf():
-        return leaf_errors
-    mask = X_prune[idx, node.feature] <= node.threshold
-    left_errors = _prune(node.left, X_prune, y_prune, idx[mask])
-    subtree_errors = left_errors + _prune(node.right, X_prune, y_prune, idx[~mask])
-    # Without rows both counts are 0, and the simpler leaf wins.
-    if leaf_errors <= subtree_errors:
-        node.feature = node.threshold = node.left = node.right = None
-        return leaf_errors
-    return subtree_errors
-
-
-def reduced_error_prune(root, X_prune, y_prune):
+def reduced_error_prune(tree, X_prune, y_prune):
     """Bottom-up collapse of subtrees that do not beat their own leaf on the
-    held-out prune rows. Mutates and returns the tree."""
-    _prune(root, X_prune, y_prune, np.arange(len(X_prune)))
-    return root
+    held-out prune rows. Returns the pruned tree."""
+    n = tree.node_count()
+    leaf = tree.leaves(X_prune)
+    rows = np.bincount(leaf, minlength=n).tolist()
+    malware = np.bincount(leaf[y_prune == 1], minlength=n).tolist()
+    feature, left, right = (a.tolist() for a in (tree.feature, tree.left, tree.right))
+    errors = [0] * n  # of each subtree once pruned
+    end = list(range(1, n + 1))  # one past each subtree's last node
+    keep = np.ones(n, dtype=bool)
+    # Each child comes after its parent, so a reverse pass is bottom-up.
+    for i in reversed(range(n)):
+        a, b = left[i], right[i]
+        if feature[i] >= 0:
+            rows[i], malware[i] = rows[a] + rows[b], malware[a] + malware[b]
+            end[i] = end[b]
+        leaf_errors = rows[i] - malware[i] if tree.p_malware[i] >= 0.5 else malware[i]
+        # Without rows both counts are 0, and the simpler leaf wins.
+        if feature[i] >= 0 and leaf_errors > errors[a] + errors[b]:
+            errors[i] = errors[a] + errors[b]
+        else:
+            errors[i] = leaf_errors
+            feature[i] = -1  # a leaf, or collapsed into one
+            keep[i + 1 : end[i]] = False
+    feature = np.array(feature)[keep]
+    inner = feature >= 0
+    index = np.cumsum(keep) - 1  # each kept node's new index
+    return Tree(
+        feature,
+        np.where(inner, tree.threshold[keep], np.nan),
+        np.where(inner, index[tree.left[keep]], -1),
+        np.where(inner, index[tree.right[keep]], -1),
+        tree.p_malware[keep],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +316,7 @@ class _Workspace:
 class TrainedClassifier:
     algo: str  # "decision_tree" | "neural_network"
     view: FeatureView
-    model: object  # TreeNode | Network
+    model: object  # Tree | Network
     training_seed: int
 
     def scores(self, matrix, counters):
@@ -317,7 +324,7 @@ class TrainedClassifier:
         idx = self.view.column_indices(counters)
         X = np.asarray(matrix, dtype=np.float64)[:, idx]
         if self.algo == "decision_tree":
-            return tree_predict_scores(self.model, X)
+            return self.model.scores(X)
         return self.model.forward(self.view.standardize(X))
 
     def predict_labels(self, matrix, counters):
@@ -334,12 +341,12 @@ def fit_tree_arrays(X, y, view, seed, max_depth=8, min_leaf=5, prune_fraction=0.
         order = rng.permutation(len(y))
         n_prune = max(1, int(round(prune_fraction * len(y))))
         prune_idx, grow_idx = order[:n_prune], order[n_prune:]
-        root = grow_cart(X[grow_idx], y[grow_idx], max_depth, min_leaf)
-        reduced_error_prune(root, X[prune_idx], y[prune_idx])
+        tree = grow_cart(X[grow_idx], y[grow_idx], max_depth, min_leaf)
+        tree = reduced_error_prune(tree, X[prune_idx], y[prune_idx])
     else:
-        root = grow_cart(X, y, max_depth, min_leaf)
+        tree = grow_cart(X, y, max_depth, min_leaf)
     return TrainedClassifier(
-        algo="decision_tree", view=view, model=root, training_seed=seed
+        algo="decision_tree", view=view, model=tree, training_seed=seed
     )
 
 

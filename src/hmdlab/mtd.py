@@ -101,9 +101,6 @@ class MtdPool:
                 )
             seen.update(c.view.counters)
 
-    def selector(self):
-        return ClassifierSelector(self)
-
 
 @dataclass(frozen=True)
 class MtdRunReport:
@@ -113,7 +110,6 @@ class MtdRunReport:
     selection_histogram: tuple
     pass_count: int
     fail_count: int
-    confusion: object
     metrics: object
 
     @property
@@ -178,14 +174,13 @@ def classify_stream(pool, test):
     member_labels = np.vstack(
         [m.predict_labels(X, counters) for m in pool.classifiers]
     )
-    selector = pool.selector()
+    selector = ClassifierSelector(pool)
     chosen = np.array([selector.select(t) for t in range(len(y))])
     predicted = member_labels[chosen, np.arange(len(y))]
     histogram = tuple(
         int((chosen == i).sum()) for i in range(len(pool.classifiers))
     )
     passes = int((predicted == y).sum())
-    cc = confusion_from_predictions(predicted, y)
     return MtdRunReport(
         chosen=chosen,
         predicted=predicted,
@@ -193,8 +188,7 @@ def classify_stream(pool, test):
         selection_histogram=histogram,
         pass_count=passes,
         fail_count=len(y) - passes,
-        confusion=cc,
-        metrics=compute_metrics(cc),
+        metrics=compute_metrics(confusion_from_predictions(predicted, y)),
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hmdlab.models import FeatureView, TrainedClassifier, Tree
 from hmdlab.traces import (
     Dataset,
     HpcTrace,
@@ -36,3 +37,18 @@ def two_class_dataset(counters, benign_rows, malware_rows, n_apps=1):
         traces.append(make_trace(f"b{i}", "benign", counters, benign_rows))
         traces.append(make_trace(f"m{i}", "malware", counters, malware_rows))
     return Dataset(tuple(traces))
+
+
+def stump(counter, threshold, invert=False):
+    """Depth-1 tree classifier on one raw counter: rows above `threshold`
+    are malware, or benign when `invert` is set."""
+    low, high = (1.0, 0.0) if invert else (0.0, 1.0)
+    tree = Tree(
+        feature=np.array([0, -1, -1]),
+        threshold=np.array([float(threshold), np.nan, np.nan]),
+        left=np.array([1, -1, -1]),
+        right=np.array([2, -1, -1]),
+        p_malware=np.array([0.5, low, high]),
+    )
+    view = FeatureView((counter,), means=np.zeros(1), sdevs=np.ones(1))
+    return TrainedClassifier("decision_tree", view, tree, training_seed=0)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import stump
 from hmdlab.cli import main
 from hmdlab.errors import ConfigurationError, MappingError
 from hmdlab.experiments import (
@@ -16,7 +17,6 @@ from hmdlab.experiments import (
     run,
     write_report,
 )
-from hmdlab.models import FeatureView, TrainedClassifier, TreeNode
 from hmdlab.traces import (
     Dataset,
     HpcTrace,
@@ -105,11 +105,7 @@ def test_attack_seed_full_evasion_leaves_precision_drop_undefined():
         return HpcTrace(app_id, label, ("branch-misses",), [[branch_misses]])
 
     # Malware iff branch-misses <= 100; the attack pushes it far above.
-    root = TreeNode(p_malware=0.5, n=2)
-    root.feature, root.threshold = 0, 100.0
-    root.left, root.right = TreeNode(1.0, 1), TreeNode(0.0, 1)
-    view = FeatureView(("branch-misses",), np.zeros(1), np.ones(1))
-    victim = TrainedClassifier("decision_tree", view, root, training_seed=0)
+    victim = stump("branch-misses", 100, invert=True)
     benign = trace("b0", "benign", 500)
     ctx = SimpleNamespace(
         test=Dataset((trace("m0", "malware", 10), benign)),
@@ -365,6 +361,8 @@ def test_cli_validate_config_rejects_too_many_classifiers(obj, tmp_path, capsys)
         {"epsilon": 0},
         {"surrogate_algos": ["nearest_neighbor"]},
         {"r_max": 30},
+        {"surrogate_algos": ["decision_tree"]},
+        {"extras": [1000000000000000000]},
     ],
 )
 def test_cli_validate_config_rejects_what_run_rejects(obj, tmp_path, capsys):

@@ -29,3 +29,47 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source):
+    """Module-level private (`_name`) functions, classes and constants that
+    no other top-level statement of the module reads, so a helper that only
+    calls itself counts as unread."""
+    unread = []
+    body = ast.parse(source).body
+    for owner in body:
+        if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [owner.name]
+        elif isinstance(owner, (ast.Assign, ast.AnnAssign)):
+            targets = owner.targets if isinstance(owner, ast.Assign) else [owner.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        read = {
+            n.id
+            for stmt in body
+            if stmt is not owner
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            name
+            for name in names
+            if name.startswith("_") and not name.startswith("__") and name not in read
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_module_name_is_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_private_names_flags_orphans():
+    source = (
+        "_USED = 1\n_ORPHAN = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Helper:\n    pass\n"
+        "def public():\n    return _USED + _Helper()\n"
+    )
+    assert unread_private_names(source) == ["_ORPHAN", "_recursive"]

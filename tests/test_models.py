@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_trace, two_class_dataset
+from conftest import make_trace, stump, two_class_dataset
 from hmdlab.errors import (
     ConfigurationError,
     DataError,
@@ -17,11 +17,11 @@ from hmdlab.errors import (
     UnsupportedModelError,
 )
 from hmdlab.models import (
+    _best_split,
     ConfusionCounts,
     FeatureView,
     Network,
     TrainedClassifier,
-    TreeNode,
     compute_metrics,
     confusion_from_predictions,
     fit,
@@ -31,7 +31,6 @@ from hmdlab.models import (
     input_gradient,
     reduced_error_prune,
     train_classifier,
-    tree_predict_scores,
 )
 from hmdlab.traces import Dataset
 
@@ -104,9 +103,9 @@ def test_tree_separable_depth_one():
 def test_tree_identical_rows_single_leaf():
     X = np.ones((20, 1))
     y = np.array([1] * 14 + [0] * 6)
-    root = grow_cart(X, y, max_depth=8, min_leaf=1)
-    assert root.is_leaf()
-    assert root.p_malware == pytest.approx(0.7)
+    tree = grow_cart(X, y, max_depth=8, min_leaf=1)
+    assert tree.node_count() == 1
+    assert tree.p_malware[0] == pytest.approx(0.7)
 
 
 def test_pruning_never_adds_nodes():
@@ -119,28 +118,176 @@ def test_pruning_never_adds_nodes():
     assert pruned.node_count() <= before
 
 
-def _reference_prune(node, X_prune, y_prune, idx):
-    """Reduced-error pruning that re-predicts every subtree on its rows."""
-    if node.is_leaf():
+class _RefNode:
+    def __init__(self, p_malware):
+        self.feature = self.threshold = self.left = self.right = None
+        self.p_malware = p_malware
+
+
+def _ref_grow(X, y, max_depth, min_leaf, feature_subsample=None, rng=None,
+              importance_out=None):
+    """CART grown as a recursive node graph: the reference for grow_cart."""
+    n_total = len(y)
+
+    def build(idx, depth):
+        yi = y[idx]
+        n = len(idx)
+        n_pos = int(yi.sum())
+        node = _RefNode(p_malware=n_pos / n)
+        if depth >= max_depth or n < 2 * min_leaf or n_pos in (0, n):
+            return node
+        k = X.shape[1]
+        if feature_subsample is not None and feature_subsample < k:
+            feats = np.sort(rng.choice(k, size=feature_subsample, replace=False))
+        else:
+            feats = np.arange(k)
+        best = None
+        for f in feats:
+            res = _best_split(X[idx, f], yi, min_leaf)
+            if res is None:
+                continue
+            threshold, dec = res
+            if best is None or dec > best[0] + 1e-15:
+                best = (dec, int(f), threshold)
+        if best is None:
+            return node
+        dec, f, threshold = best
+        if importance_out is not None:
+            importance_out[f] += dec * n / n_total
+        node.feature, node.threshold = f, threshold
+        left_mask = X[idx, f] <= threshold
+        node.left = build(idx[left_mask], depth + 1)
+        node.right = build(idx[~left_mask], depth + 1)
+        return node
+
+    return build(np.arange(n_total), 0)
+
+
+def _ref_scores(node, X, idx, out):
+    if node.feature is None:
+        out[idx] = node.p_malware
         return
+    mask = X[idx, node.feature] <= node.threshold
+    _ref_scores(node.left, X, idx[mask], out)
+    _ref_scores(node.right, X, idx[~mask], out)
+
+
+def _ref_prune(node, X_prune, y_prune, idx):
+    """Reduced-error pruning of the node graph; returns its error count."""
+    leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != y_prune[idx]).sum())
+    if node.feature is None:
+        return leaf_errors
     mask = X_prune[idx, node.feature] <= node.threshold
-    _reference_prune(node.left, X_prune, y_prune, idx[mask])
-    _reference_prune(node.right, X_prune, y_prune, idx[~mask])
-    if len(idx) == 0:
-        node.feature = node.threshold = node.left = node.right = None
-        return
-    yi = y_prune[idx]
-    scores = tree_predict_scores(node, X_prune[idx])
-    subtree_errors = int(((scores >= 0.5).astype(int) != yi).sum())
-    leaf_errors = int(((1 if node.p_malware >= 0.5 else 0) != yi).sum())
+    left_errors = _ref_prune(node.left, X_prune, y_prune, idx[mask])
+    subtree_errors = left_errors + _ref_prune(node.right, X_prune, y_prune, idx[~mask])
     if leaf_errors <= subtree_errors:
         node.feature = node.threshold = node.left = node.right = None
+        return leaf_errors
+    return subtree_errors
 
 
-def _structure(node):
-    if node.is_leaf():
-        return (node.p_malware, node.n)
-    return (node.feature, node.threshold, _structure(node.left), _structure(node.right))
+def _ref_arrays(root):
+    """The node graph as (feature, threshold, left, right, p_malware) arrays
+    in depth-first pre-order."""
+    nodes = []
+
+    def visit(node):
+        i = len(nodes)
+        nodes.append([-1, np.nan, -1, -1, node.p_malware])
+        if node.feature is not None:
+            nodes[i][:2] = node.feature, node.threshold
+            nodes[i][2] = visit(node.left)
+            nodes[i][3] = visit(node.right)
+        return i
+
+    visit(root)
+    return [np.array(column) for column in zip(*nodes)]
+
+
+def _tree_arrays(tree):
+    return [tree.feature, tree.threshold, tree.left, tree.right, tree.p_malware]
+
+
+def _assert_same_tree(tree, root):
+    for got, want in zip(_tree_arrays(tree), _ref_arrays(root), strict=True):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype.kind == want.dtype.kind
+
+
+@pytest.mark.parametrize("max_depth", range(1, 11))
+def test_flat_tree_matches_recursive_node_graph(max_depth):
+    rng = np.random.default_rng(max_depth)
+    X = rng.normal(size=(200, 4))
+    X[:, 3] = np.round(X[:, 3])  # ties between split candidates
+    y = ((X[:, 0] + X[:, 1] > 0) ^ (rng.random(200) < 0.3)).astype(np.int64)
+    X_test = rng.normal(size=(50, 4))
+    for min_leaf in range(1, 6):
+        for subsample in (None, 2):
+            for n_prune in (0, 4, 100):
+                X_grow, y_grow = X[: 200 - n_prune], y[: 200 - n_prune]
+                X_prune, y_prune = X[200 - n_prune :], y[200 - n_prune :]
+                grown = []
+                for grow in (grow_cart, _ref_grow):
+                    draws = np.random.default_rng(min_leaf)
+                    imp = None if subsample is None else np.zeros(4)
+                    tree = grow(X_grow, y_grow, max_depth, min_leaf, subsample,
+                                draws, imp)
+                    grown.append((tree, imp, draws.integers(1 << 30)))
+                (tree, imp, draw), (root, ref_imp, ref_draw) = grown
+                _assert_same_tree(tree, root)
+                if subsample is not None:
+                    np.testing.assert_array_equal(imp, ref_imp)
+                    assert draw == ref_draw
+                for Xp in (X_test, X_test[:0]):
+                    out = np.empty(len(Xp))
+                    _ref_scores(root, Xp, np.arange(len(Xp)), out)
+                    np.testing.assert_array_equal(tree.scores(Xp), out)
+                _ref_prune(root, X_prune, y_prune, np.arange(n_prune))
+                _assert_same_tree(reduced_error_prune(tree, X_prune, y_prune), root)
+
+
+def _subtree_scores(tree, node, X):
+    """Scores of rows X routed from `node`, one row at a time."""
+    out = []
+    for x in X:
+        i = node
+        while tree.feature[i] >= 0:
+            goes_left = x[tree.feature[i]] <= tree.threshold[i]
+            i = tree.left[i] if goes_left else tree.right[i]
+        out.append(tree.p_malware[i])
+    return np.array(out)
+
+
+def _reference_prune(tree, node, X_prune, y_prune, idx):
+    """Reduced-error pruning that re-predicts every subtree on its rows. It
+    collapses a node by setting its feature to -1 in place, which leaves the
+    node's subtree unreachable."""
+    f = tree.feature[node]
+    if f < 0:
+        return
+    mask = X_prune[idx, f] <= tree.threshold[node]
+    _reference_prune(tree, tree.left[node], X_prune, y_prune, idx[mask])
+    _reference_prune(tree, tree.right[node], X_prune, y_prune, idx[~mask])
+    if len(idx) == 0:
+        tree.feature[node] = -1
+        return
+    yi = y_prune[idx]
+    scores = _subtree_scores(tree, node, X_prune[idx])
+    subtree_errors = int(((scores >= 0.5).astype(int) != yi).sum())
+    leaf_errors = int(((1 if tree.p_malware[node] >= 0.5 else 0) != yi).sum())
+    if leaf_errors <= subtree_errors:
+        tree.feature[node] = -1
+
+
+def _structure(tree, node=0):
+    if tree.feature[node] < 0:
+        return (tree.p_malware[node],)
+    return (
+        tree.feature[node],
+        tree.threshold[node],
+        _structure(tree, tree.left[node]),
+        _structure(tree, tree.right[node]),
+    )
 
 
 def test_pruning_by_bottom_up_counts_matches_re_predicting_each_subtree():
@@ -154,7 +301,7 @@ def test_pruning_by_bottom_up_counts_matches_re_predicting_each_subtree():
             X_prune, y_prune = X[300 - n_prune :], y[300 - n_prune :]
             expected = grow_cart(X_grow, y_grow, max_depth=8, min_leaf=1)
             full = expected.node_count()
-            _reference_prune(expected, X_prune, y_prune, np.arange(n_prune))
+            _reference_prune(expected, 0, X_prune, y_prune, np.arange(n_prune))
             pruned = reduced_error_prune(
                 grow_cart(X_grow, y_grow, max_depth=8, min_leaf=1), X_prune, y_prune
             )
@@ -190,7 +337,7 @@ def test_tree_invariant_under_monotone_transform():
     b = grow_cart(X**2, y, max_depth=6, min_leaf=5)  # order-preserving on >= 0
     Xt = rng.integers(0, 1000, size=(50, 2)).astype(np.float64)
     np.testing.assert_array_equal(
-        tree_predict_scores(a, Xt) >= 0.5, tree_predict_scores(b, Xt**2) >= 0.5
+        a.scores(Xt) >= 0.5, b.scores(Xt**2) >= 0.5
     )
 
 
@@ -368,17 +515,7 @@ def test_training_invariant_under_input_scaling():
 
 
 def test_predict_iteration_tree_walk():
-    root = TreeNode(p_malware=0.5, n=10)
-    root.feature = 0
-    root.threshold = 100.0
-    root.left = TreeNode(p_malware=0.0, n=5)
-    root.right = TreeNode(p_malware=1.0, n=5)
-    clf = TrainedClassifier(
-        algo="decision_tree",
-        view=_identity_view(("instructions",)),
-        model=root,
-        training_seed=0,
-    )
+    clf = stump("instructions", 100)
     rows = np.array([[150], [50]])
     np.testing.assert_array_equal(clf.scores(rows, ("instructions",)), [1.0, 0.0])
     np.testing.assert_array_equal(clf.predict_labels(rows, ("instructions",)), [1, 0])

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_trace
+from conftest import make_trace, stump
 from hmdlab.errors import ConfigurationError, EmptyEvaluationError
-from hmdlab.models import FeatureView, TrainedClassifier, TreeNode
 from hmdlab.mtd import (
     LFSR_PERIOD,
     ClassifierSelector,
@@ -60,21 +59,6 @@ def test_lfsr_seed_mapping():
 # Hand-built pool members for selection tests
 
 
-def _stub_tree(counter, threshold, invert=False):
-    """Depth-1 tree on one counter; invert flips which side is malware."""
-    root = TreeNode(p_malware=0.5, n=2)
-    root.feature = 0
-    root.threshold = float(threshold)
-    root.left = TreeNode(p_malware=1.0 if invert else 0.0, n=1)
-    root.right = TreeNode(p_malware=0.0 if invert else 1.0, n=1)
-    view = FeatureView(
-        counters=(counter,), means=np.zeros(1), sdevs=np.ones(1)
-    )
-    return TrainedClassifier(
-        algo="decision_tree", view=view, model=root, training_seed=0
-    )
-
-
 def _stream_dataset(n_apps=10, iterations=100):
     """Benign apps low on both counters, malware high; perfectly separable
     at 100 on either counter."""
@@ -103,8 +87,8 @@ def _pool(members, policy="uniform", seed=1, best_index=0):
 
 
 def test_uniform_selection_frequencies():
-    pool = _pool([_stub_tree("branch-misses", 100), _stub_tree("instructions", 100)])
-    sel = pool.selector()
+    pool = _pool([stump("branch-misses", 100), stump("instructions", 100)])
+    sel = ClassifierSelector(pool)
     picks = np.array([sel.select(t) for t in range(100_000)])
     freq = np.bincount(picks, minlength=2) / len(picks)
     assert 0.49 <= freq[0] <= 0.51
@@ -113,11 +97,11 @@ def test_uniform_selection_frequencies():
 
 def test_priority_takes_best_on_even_ticks():
     members = [
-        _stub_tree(c, 100)
+        stump(c, 100)
         for c in ("branch-misses", "instructions", "cpu-cycles", "bus-cycles", "cache-misses")
     ]
     pool = _pool(members, policy="priority", best_index=2)
-    sel = pool.selector()
+    sel = ClassifierSelector(pool)
     picks = [sel.select(t) for t in range(200)]
     assert all(p == 2 for p in picks[0::2])
     assert all(p != 2 for p in picks[1::2])
@@ -125,11 +109,11 @@ def test_priority_takes_best_on_even_ticks():
 
 def test_priority_two_member_alternation():
     pool = _pool(
-        [_stub_tree("branch-misses", 100), _stub_tree("instructions", 100)],
+        [stump("branch-misses", 100), stump("instructions", 100)],
         policy="priority",
         best_index=0,
     )
-    sel = pool.selector()
+    sel = ClassifierSelector(pool)
     picks = [sel.select(t) for t in range(1000)]
     assert picks[0::2] == [0] * 500
     assert picks[1::2] == [1] * 500  # only one non-best choice
@@ -137,9 +121,9 @@ def test_priority_two_member_alternation():
 
 
 def test_selection_deterministic_per_seed():
-    members = [_stub_tree("branch-misses", 100), _stub_tree("instructions", 100)]
-    a = _pool(members, seed=42).selector()
-    b = _pool(members, seed=42).selector()
+    members = [stump("branch-misses", 100), stump("instructions", 100)]
+    a = ClassifierSelector(_pool(members, seed=42))
+    b = ClassifierSelector(_pool(members, seed=42))
     assert [a.select(t) for t in range(500)] == [b.select(t) for t in range(500)]
 
 
@@ -148,16 +132,16 @@ def test_selection_deterministic_per_seed():
 
 
 def test_pool_rejects_overlapping_views_and_small_pools():
-    a = _stub_tree("branch-misses", 100)
-    b = _stub_tree("branch-misses", 200)
+    a = stump("branch-misses", 100)
+    b = stump("branch-misses", 200)
     with pytest.raises(ConfigurationError):
         _pool([a, b])
     with pytest.raises(ConfigurationError):
         _pool([a])
     with pytest.raises(ConfigurationError):
-        _pool([a, _stub_tree("instructions", 100)], policy="chaotic")
+        _pool([a, stump("instructions", 100)], policy="chaotic")
     with pytest.raises(ConfigurationError):
-        _pool([a, _stub_tree("instructions", 100)], best_index=2)
+        _pool([a, stump("instructions", 100)], best_index=2)
 
 
 def test_design_pool_trains_disjoint_members(small_dataset):
@@ -190,7 +174,7 @@ def test_design_pool_trains_disjoint_members(small_dataset):
 
 def test_identical_perfect_members_give_perfect_accuracy():
     pool = _pool(
-        [_stub_tree("branch-misses", 100), _stub_tree("instructions", 100)]
+        [stump("branch-misses", 100), stump("instructions", 100)]
     )
     report = classify_stream(pool, _stream_dataset())
     assert report.accuracy == 1.0
@@ -200,15 +184,15 @@ def test_identical_perfect_members_give_perfect_accuracy():
 
 
 def test_perfect_plus_inverted_member_halves_accuracy():
-    good = _stub_tree("branch-misses", 100)
-    bad = _stub_tree("instructions", 100, invert=True)  # always wrong here
+    good = stump("branch-misses", 100)
+    bad = stump("instructions", 100, invert=True)  # always wrong here
     pool = _pool([good, bad], seed=9)
     report = classify_stream(pool, _stream_dataset(n_apps=20, iterations=500))
     assert abs(report.accuracy - 0.5) <= 0.02
 
 
 def test_classify_stream_empty_dataset():
-    pool = _pool([_stub_tree("branch-misses", 100), _stub_tree("instructions", 100)])
+    pool = _pool([stump("branch-misses", 100), stump("instructions", 100)])
     with pytest.raises(EmptyEvaluationError):
         classify_stream(pool, Dataset(()))
 
