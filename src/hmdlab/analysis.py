@@ -4,7 +4,6 @@ arbitrary-precision; base-10 magnitudes ride along for reporting."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,51 +115,24 @@ def _big_string(count):
     return f"{10 ** frac:.6f}e+{int(math.floor(count.log10))}"
 
 
-@dataclass(frozen=True)
-class CombinatoricsReport:
-    h_t: int
-    r_max: int
-    n_h: BigCount
-    n_c: BigCount
-    mtd_guess_probability_log10: float
-    single_h: int
-    single_classifier_prob: Fraction
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "h_t": self.h_t,
-                "r_max": self.r_max,
-                "n_h": str(self.n_h.exact),
-                "n_h_log10": self.n_h.log10,
-                "n_c": _big_string(self.n_c),
-                "n_c_log10": self.n_c.log10,
-                "n_c_digits": self.n_c.digits,
-                "mtd_guess_probability_log10": self.mtd_guess_probability_log10,
-                "single_h": self.single_h,
-                "single_classifier_probability": (
-                    f"1/{self.single_classifier_prob.denominator}"
-                ),
-                "single_classifier_probability_decimal": decimal_string(
-                    self.single_classifier_prob
-                ),
-            },
-            indent=2,
-        )
-
-
 def build_report(h_t=20, r_max=4, single_h=8):
+    """Classifier and pool counts, and guess probabilities, for h_t counters."""
     n_h = total_classifiers(h_t, r_max)
     n_c = total_combinations(n_h)
-    return CombinatoricsReport(
-        h_t=h_t,
-        r_max=r_max,
-        n_h=n_h,
-        n_c=n_c,
-        mtd_guess_probability_log10=-n_c.log10,
-        single_h=single_h,
-        single_classifier_prob=single_classifier_probability(h_t, single_h),
-    )
+    single = single_classifier_probability(h_t, single_h)
+    return {
+        "h_t": h_t,
+        "r_max": r_max,
+        "n_h": str(n_h.exact),
+        "n_h_log10": n_h.log10,
+        "n_c": _big_string(n_c),
+        "n_c_log10": n_c.log10,
+        "n_c_digits": n_c.digits,
+        "mtd_guess_probability_log10": -n_c.log10,
+        "single_h": single_h,
+        "single_classifier_probability": f"1/{single.denominator}",
+        "single_classifier_probability_decimal": decimal_string(single),
+    }
 
 
 def sweep_curves(h_t_values, r_max):

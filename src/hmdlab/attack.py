@@ -25,7 +25,7 @@ from .models import (
     fit_network_arrays,  # noqa: F401
     input_gradient,
 )
-from .traces import INT64_MAX, HpcTrace
+from .traces import INT64_MAX, Dataset, HpcTrace
 
 # Injected events per loop of the generator also tick other counters; one
 # branch-miss costs a handful of instructions and branch instructions, one
@@ -117,14 +117,10 @@ def reverse_engineer(
     n_fit = max(1, int(round(0.7 * len(probe.traces))))
     if n_fit == len(probe.traces):
         n_fit -= 1
-    fit_apps = [probe.traces[i] for i in order[:n_fit]]
-    held_apps = [probe.traces[i] for i in order[n_fit:]]
-
-    def rows(apps):
-        idx = [apps[0].counters.index(c) for c in counters]
-        return np.vstack([t.values[:, idx].astype(np.float64) for t in apps])
-
-    X_fit, X_held = rows(fit_apps), rows(held_apps)
+    X_fit, X_held = (
+        Dataset(tuple(probe.traces[i] for i in part)).stack(counters)[0]
+        for part in (order[:n_fit], order[n_fit:])
+    )
     try:
         y_fit = np.asarray(victim(X_fit, counters), dtype=np.int64)
         y_held = np.asarray(victim(X_held, counters), dtype=np.int64)

@@ -58,37 +58,18 @@ def _build_parser():
     return p
 
 
-_RUN_OVERRIDES = (
-    "seeds",
-    "csv_path",
-    "epsilon",
-    "policy",
-    "h_t",
-    "r_max",
-    "single_h",
-    "n_benign",
-    "n_malware",
-    "n_test_per_class",
-    "iterations",
-    "epochs",
-)
-
-
 def _config_from_args(args):
-    if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        cfg = replace(cfg, recipe=args.recipe)
-    else:
-        cfg = ExperimentConfig(recipe=args.recipe)
-    overrides = {}
-    for name in _RUN_OVERRIDES:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = tuple(value) if name == "seeds" else value
+    """The config file (or defaults) with every given `run` flag laid over it."""
+    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    overrides = {
+        name: tuple(value) if name == "seeds" else value
+        for name, value in vars(args).items()
+        if name in ExperimentConfig.__dataclass_fields__ and value is not None
+    }
     out_dir = args.out or os.environ.get("HMDLAB_OUT") or cfg.out_dir
     if out_dir:
         overrides["out_dir"] = out_dir
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 def main(argv=None):

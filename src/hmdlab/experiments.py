@@ -14,6 +14,7 @@ import numpy as np
 
 from . import analysis
 from .attack import (
+    DEFAULT_COUPLING,
     AttackBudget,
     craft_perturbation,
     flat_injection,
@@ -40,17 +41,6 @@ from .traces import (
 
 TOOL_VERSION = "0.1.0"
 
-RECIPES = (
-    "baseline",
-    "attack",
-    "mtd",
-    "pool_sweep",
-    "priority_sweep",
-    "mixed",
-    "resilience",
-    "combinatorics",
-)
-
 # Default counter subsets for the end-to-end experiments: the victim
 # detector watches the four counters the attack manipulates; the defense
 # pool splits two correlated groups between its members.
@@ -64,6 +54,13 @@ MTD_GROUP_A = ("branch-instructions", "branch-misses", "bus-cycles", "cache-miss
 MTD_GROUP_B = ("cache-references", "cpu-cycles", "instructions")
 
 ALGOS = ("decision_tree", "neural_network")
+
+# Counters a crafted perturbation writes, the only ones `max_inject` can cap:
+# the controllable counters and the side counters their injection ticks.
+_CONTROLLABLE = AttackBudget().controllable
+_CAPPABLE = frozenset(_CONTROLLABLE).union(
+    *(DEFAULT_COUPLING.get(c, {}) for c in _CONTROLLABLE)
+)
 
 
 def _ints(values, lo, hi=math.inf):
@@ -115,7 +112,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject every value `run` would fail on, before any work starts."""
-        self._check("recipe", self.recipe in RECIPES)
+        self._check("recipe", isinstance(self.recipe, str) and self.recipe in RECIPES)
         self._check("seeds", len(self.seeds) > 0 and _ints(self.seeds, 0)
                     and len(set(self.seeds)) == len(self.seeds))
         for name in ("csv_path", "out_dir"):
@@ -130,6 +127,7 @@ class ExperimentConfig:
         self._check("epsilon", _real(self.epsilon, 0, 1) and self.epsilon > 0)
         self._check("max_inject", self.max_inject is None
                     or isinstance(self.max_inject, dict)
+                    and set(self.max_inject) <= _CAPPABLE
                     and all(_real(v, 0) for v in self.max_inject.values()))
         self._check("extras", _ints(self.extras, 0)
                     and all(flat_injection(e) is not None for e in self.extras))
@@ -380,7 +378,7 @@ def _grouping_for(cfg, train):
     )
 
 
-def _sweep_recipe(cfg, policy):
+def _sweep_recipe(cfg):
     """Pool-size sweep on the attacked malware of the first seed's split;
     pool training varies over all configured seeds."""
     ctx = SeedContext(cfg, cfg.seeds[0])
@@ -393,7 +391,7 @@ def _sweep_recipe(cfg, policy):
             attacked,
             grouping,
             algo,
-            policy,
+            cfg.policy,
             sizes=list(cfg.sizes),
             seeds=list(cfg.seeds),
             tree_params=cfg.tree_params,
@@ -403,23 +401,14 @@ def _sweep_recipe(cfg, policy):
 
 
 def _combinatorics_recipe(cfg):
-    report = analysis.build_report(h_t=cfg.h_t, r_max=cfg.r_max, single_h=cfg.single_h)
     return {
-        "report": json.loads(report.to_json()),
+        "report": analysis.build_report(cfg.h_t, cfg.r_max, cfg.single_h),
         "sweep": analysis.sweep_curves(list(cfg.sweep_h_t), cfg.r_max),
     }
 
 
 # ---------------------------------------------------------------------------
 # Aggregation and the run entry point
-
-_PER_SEED = {
-    "baseline": _baseline_seed,
-    "attack": _attack_seed,
-    "mtd": _mtd_seed,
-    "mixed": _mixed_seed,
-    "resilience": _resilience_seed,
-}
 
 
 def _aggregate(per_seed):
@@ -442,20 +431,33 @@ def _aggregate(per_seed):
     return walk(values)
 
 
-def run(config):
+def _per_seed(seed_fn):
+    """A recipe running `seed_fn` on each seed's context, then aggregating."""
+
+    def recipe(cfg):
+        per_seed = {seed: seed_fn(SeedContext(cfg, seed)) for seed in cfg.seeds}
+        return {"per_seed": per_seed, "aggregate": _aggregate(per_seed)}
+
+    return recipe
+
+
+# Recipe name -> function computing a report's `results` from the config.
+RECIPES = {
+    "baseline": _per_seed(_baseline_seed),
+    "attack": _per_seed(_attack_seed),
+    "mtd": _per_seed(_mtd_seed),
+    "pool_sweep": _sweep_recipe,
+    "mixed": _per_seed(_mixed_seed),
+    "resilience": _per_seed(_resilience_seed),
+    "combinatorics": _combinatorics_recipe,
+}
+
+
+def run(cfg):
     """Execute one recipe and return the (deterministic) report dict."""
     start = time.time()
-    cfg = config
-    if cfg.recipe in _PER_SEED:
-        fn = _PER_SEED[cfg.recipe]
-        per_seed = {seed: fn(SeedContext(cfg, seed)) for seed in cfg.seeds}
-        results = {"per_seed": per_seed, "aggregate": _aggregate(per_seed)}
-    elif cfg.recipe in ("pool_sweep", "priority_sweep"):
-        policy = "uniform" if cfg.recipe == "pool_sweep" else "priority"
-        results = _sweep_recipe(cfg, policy)
-    else:
-        results = _combinatorics_recipe(cfg)
-    report = {
+    results = RECIPES[cfg.recipe](cfg)
+    return {
         "tool": "hmdlab",
         "version": TOOL_VERSION,
         "recipe": cfg.recipe,
@@ -463,7 +465,6 @@ def run(config):
         "results": results,
         "wall_clock_s": time.time() - start,
     }
-    return report
 
 
 def _config_echo(cfg):
@@ -492,7 +493,7 @@ def write_report(report, out_dir):
 
 FIGURES = {
     "metric-bars": ("baseline", "attack", "mtd"),
-    "pool-accuracy": ("pool_sweep", "priority_sweep"),
+    "pool-accuracy": ("pool_sweep",),
     "mixed-accuracy": ("mixed",),
     "resilience": ("resilience",),
     "hpc-sweep": ("combinatorics",),

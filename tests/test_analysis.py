@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -96,15 +97,25 @@ def test_decimal_string_close_to_true_value(num, den):
 
 def test_build_report_fields():
     report = build_report()
-    assert report.n_h.exact == 6195
-    assert report.n_c.digits == 1865
-    assert report.mtd_guess_probability_log10 == -report.n_c.log10
-    import json
-
-    obj = json.loads(report.to_json())
-    assert obj["n_h"] == "6195"
-    assert obj["single_classifier_probability"] == "1/125970"
-    assert isinstance(obj["n_c"], str)
+    assert list(report) == [
+        "h_t",
+        "r_max",
+        "n_h",
+        "n_h_log10",
+        "n_c",
+        "n_c_log10",
+        "n_c_digits",
+        "mtd_guess_probability_log10",
+        "single_h",
+        "single_classifier_probability",
+        "single_classifier_probability_decimal",
+    ]
+    assert report["n_h"] == "6195"
+    assert report["n_c_digits"] == 1865
+    assert report["mtd_guess_probability_log10"] == -report["n_c_log10"]
+    assert report["single_classifier_probability"] == "1/125970"
+    assert isinstance(report["n_c"], str)
+    assert json.loads(json.dumps(report)) == report  # plain JSON values
 
 
 def test_digit_count_is_computed_once_and_only_when_read(monkeypatch):
@@ -116,11 +127,10 @@ def test_digit_count_is_computed_once_and_only_when_read(monkeypatch):
         analysis, "_digit_count", lambda n: calls.append(n) or real(n)
     )
     sweep_curves([20, 40], 4)
-    report = build_report()
     assert calls == []
-    report.to_json()
-    report.to_json()
-    assert calls == [report.n_c.exact]
+    # the report reads the digit count twice: for n_c and for n_c_digits
+    build_report()
+    assert calls == [total_combinations(total_classifiers(20, 4)).exact]
 
 
 def test_digit_count_at_powers_of_ten_and_two():

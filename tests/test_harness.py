@@ -4,19 +4,26 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import stump
-from hmdlab.cli import main
+from hmdlab.cli import _build_parser, main
 from hmdlab.errors import ConfigurationError, MappingError
 from hmdlab.experiments import (
     ALGOS,
+    FIGURES,
+    RECIPES,
     ExperimentConfig,
+    SeedContext,
     _aggregate,
     _attack_seed,
+    _grouping_for,
     emit_plot_data,
     run,
     write_report,
 )
+from hmdlab.mtd import evaluate_pool_sweep
 from hmdlab.traces import (
     Dataset,
     HpcTrace,
@@ -46,8 +53,6 @@ def _fast(recipe, **kw):
 
 
 def test_config_defaults_valid_for_every_recipe():
-    from hmdlab.experiments import RECIPES
-
     for recipe in RECIPES:
         cfg = ExperimentConfig(recipe=recipe)
         assert cfg.seeds == (7, 8, 9, 10, 11)
@@ -146,6 +151,20 @@ def test_pool_sweep_recipe_structure():
         assert [e["size"] for e in res[algo]] == [2, 3]
 
 
+def test_pool_sweep_recipe_follows_the_policy():
+    cfg = _fast("pool_sweep", sizes=(2, 3), n_groups=3, policy="priority")
+    res = run(cfg)["results"]
+    ctx = SeedContext(cfg, cfg.seeds[0])
+    grouping = _grouping_for(cfg, ctx.train)
+    attacked = Dataset(tuple(ctx.attacked_malware()))
+    for algo in ALGOS:
+        assert res[algo] == evaluate_pool_sweep(
+            ctx.train, attacked, grouping, algo, "priority", sizes=[2, 3],
+            seeds=list(cfg.seeds), tree_params=cfg.tree_params,
+            network_params=cfg.network_params,
+        )
+
+
 def test_csv_ingestion_path(tmp_path):
     data = generate_synthetic_dataset(default_profile(iterations=5), 30, 30, 1)
     csv_path = tmp_path / "traces.csv"
@@ -188,6 +207,11 @@ def test_plot_data_projections():
     assert ("decision_tree/clean", "accuracy") in {(r[0], r[1]) for r in rows}
 
 
+def test_every_figure_names_a_recipe():
+    for figure, recipes in FIGURES.items():
+        assert set(recipes) <= set(RECIPES), figure
+
+
 def test_plot_data_mismatch_errors():
     report = run(ExperimentConfig(recipe="combinatorics"))
     with pytest.raises(MappingError):
@@ -220,6 +244,15 @@ def test_cli_run_honors_flag_overrides(tmp_path):
     obj = json.load(open(tmp_path / "report-combinatorics.json"))
     assert obj["results"]["report"]["n_h"] == "55"  # C(10,1)+C(10,2)
     assert obj["config"]["h_t"] == 10
+
+
+def test_cli_run_flags_are_config_fields():
+    # `command` belongs to the top-level parser; --config and --out are read
+    # apart from the overrides.
+    dests = set(vars(_build_parser().parse_args(["run", "baseline"])))
+    assert dests - {"command", "config", "out"} <= set(
+        ExperimentConfig.__dataclass_fields__
+    )
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch):
@@ -363,6 +396,9 @@ def test_cli_validate_config_rejects_too_many_classifiers(obj, tmp_path, capsys)
         {"r_max": 30},
         {"surrogate_algos": ["decision_tree"]},
         {"extras": [1000000000000000000]},
+        {"max_inject": {"branch-mises": 5}},
+        {"max_inject": {"cpu-cycles": 5}},
+        {"recipe": "priority_sweep"},
     ],
 )
 def test_cli_validate_config_rejects_what_run_rejects(obj, tmp_path, capsys):
@@ -372,3 +408,44 @@ def test_cli_validate_config_rejects_what_run_rejects(obj, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     with pytest.raises(ConfigurationError):
         ExperimentConfig.from_dict({"recipe": "baseline", **obj})
+
+
+# Values for config fields, valid and invalid mixed.
+_CONFIG_DICTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "recipe": st.sampled_from([*RECIPES, "priority_sweep", "teleport", 3, ["mtd"]]),
+        "n_benign": st.sampled_from([-1, 0, 1, 50, 51, 300, 2.5, "300", True]),
+        "epsilon": st.sampled_from([0, 0.5, 1, 1.5, -0.1, float("nan"), "1"]),
+        "sizes": st.lists(st.integers(0, 7), max_size=3) | st.just(4),
+        "seeds": st.lists(st.integers(-1, 3), max_size=3) | st.just("7"),
+        "extras": st.lists(st.sampled_from([-1, 0, 10**6, 10**18, 0.5]), max_size=3),
+        "max_inject": st.none()
+        | st.dictionaries(
+            st.sampled_from(["branch-misses", "LLC-load-misses", "instructions",
+                             "branch-instructions", "branch-mises", "cpu-cycles"]),
+            st.sampled_from([0, 5, 2.5, -1, float("inf"), "5", False]),
+            max_size=3,
+        )
+        | st.just(["branch-misses"]),
+    },
+)
+
+
+def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_path):
+    for name in RECIPES:
+        monkeypatch.setitem(RECIPES, name, lambda cfg: {})
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_CONFIG_DICTS)
+    def agree(obj):
+        path.write_text(json.dumps(obj))
+        recipe = obj.get("recipe")
+        if not (isinstance(recipe, str) and recipe in RECIPES):
+            recipe = "baseline"  # argparse would refuse it before the file
+        argv = ["run", recipe, "--config", str(path), "--out", str(out)]
+        assert main(["validate-config", str(path)]) == main(argv)
+
+    agree()
