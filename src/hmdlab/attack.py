@@ -5,6 +5,7 @@ injection with coupled side effects."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,8 @@ from .traces import INT64_MAX, Dataset, HpcTrace
 
 # Injected events per loop of the generator also tick other counters; one
 # branch-miss costs a handful of instructions and branch instructions, one
-# LLC load miss costs a few instructions. Microarchitectural, config-exposed.
+# LLC load miss costs a few instructions. Microarchitectural; the default of
+# `AttackBudget.coupling`, and the coupling of every flat load.
 DEFAULT_COUPLING = {
     "branch-misses": {"instructions": 6.0, "branch-instructions": 5.0},
     "LLC-load-misses": {"instructions": 3.0},
@@ -52,6 +54,21 @@ class AttackBudget:
                     raise ConfigurationError(
                         f"coupling {c!r}->{name!r} must be finite and >= 0"
                     )
+        # A cap applies only to a counter a perturbation writes: a
+        # controllable counter or a side counter its injection ticks.
+        cappable = set(self.controllable).union(
+            *(self.coupling.get(c, {}) for c in self.controllable)
+        )
+        for c, cap in (self.max_inject or {}).items():
+            if c not in cappable:
+                raise ConfigurationError(
+                    f"max_inject names {c!r}, which no perturbation writes"
+                )
+            if (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
+                    or not math.isfinite(cap) or cap < 0):
+                raise ConfigurationError(
+                    f"max_inject cap for {c!r} must be finite and >= 0"
+                )
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,7 @@ def reverse_engineer(
         raise ConfigurationError("probe needs at least 2 apps")
     if not candidate_algos:
         raise ConfigurationError("candidate algorithm list is empty")
-    counters = tuple(counters) if counters else probe.traces[0].counters
+    counters = tuple(counters) if counters else probe.counters
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(probe.traces))
@@ -152,10 +169,8 @@ def craft_perturbation(surrogate, trace, budget):
     if trace.label != "malware":
         raise ConfigurationError("only malware traces are camouflaged")
     view = surrogate.view
-    trace_idx = [trace.counters.index(c) for c in view.counters]
-    g = input_gradient(
-        surrogate, trace.values[:, trace_idx].astype(np.float64), "malware"
-    )
+    X = trace.values[:, view.column_indices(trace.counters)].astype(np.float64)
+    g = input_gradient(surrogate, X, "malware")
     deltas = {}
     for c in budget.controllable:
         if c not in view.counters:
@@ -198,21 +213,20 @@ def inject(trace, p):
     )
 
 
-def flat_injection(extra_branch_misses, coupling=None):
+def flat_injection(extra_branch_misses):
     """Per-row events by counter of a flat `extra_branch_misses` load, with
-    coupling; None when one exceeds half the counter range."""
+    the default coupling; None when one exceeds half the counter range."""
     if extra_branch_misses < 0:
         raise ConfigurationError("extra branch-misses must be >= 0")
-    coupling = DEFAULT_COUPLING["branch-misses"] if coupling is None else coupling
     extra = {"branch-misses": int(extra_branch_misses)}
-    for side, coef in coupling.items():
+    for side, coef in DEFAULT_COUPLING["branch-misses"].items():
         extra[side] = extra.get(side, 0) + int(round(coef * extra_branch_misses))
     return None if any(v > INT64_MAX // 2 for v in extra.values()) else extra
 
 
-def strengthen(p, extra_branch_misses, coupling=None):
+def strengthen(p, extra_branch_misses):
     """Add a flat per-row branch-miss load (with coupling) on top of p."""
-    extra = flat_injection(extra_branch_misses, coupling)
+    extra = flat_injection(extra_branch_misses)
     if extra is None:
         raise CounterRangeError("extra injection exceeds the counter range")
     if extra_branch_misses == 0:

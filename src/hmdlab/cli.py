@@ -25,6 +25,7 @@ from .experiments import (
     write_plot_csv,
     write_report,
 )
+from .mtd import POLICIES
 
 
 def _build_parser():
@@ -38,7 +39,7 @@ def _build_parser():
     rp.add_argument("--out", help="output directory (default: $HMDLAB_OUT)")
     rp.add_argument("--csv", dest="csv_path", help="ingest traces from CSV")
     rp.add_argument("--epsilon", type=float)
-    rp.add_argument("--policy", choices=["uniform", "priority"])
+    rp.add_argument("--policy", choices=POLICIES)
     rp.add_argument("--ht", type=int, dest="h_t")
     rp.add_argument("--rmax", type=int, dest="r_max")
     rp.add_argument("--single-h", type=int, dest="single_h")

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import analysis
 from .attack import (
-    DEFAULT_COUPLING,
     AttackBudget,
     craft_perturbation,
     flat_injection,
@@ -30,7 +29,7 @@ from .features import (
     univariate_select_k_best,
 )
 from .models import compute_metrics, confusion_from_predictions, train_classifier
-from .mtd import classify_stream, design_pool, evaluate_pool_sweep
+from .mtd import POLICIES, classify_stream, design_pool, evaluate_pool_sweep
 from .traces import (
     Dataset,
     default_profile,
@@ -54,13 +53,6 @@ MTD_GROUP_A = ("branch-instructions", "branch-misses", "bus-cycles", "cache-miss
 MTD_GROUP_B = ("cache-references", "cpu-cycles", "instructions")
 
 ALGOS = ("decision_tree", "neural_network")
-
-# Counters a crafted perturbation writes, the only ones `max_inject` can cap:
-# the controllable counters and the side counters their injection ticks.
-_CONTROLLABLE = AttackBudget().controllable
-_CAPPABLE = frozenset(_CONTROLLABLE).union(
-    *(DEFAULT_COUPLING.get(c, {}) for c in _CONTROLLABLE)
-)
 
 
 def _ints(values, lo, hi=math.inf):
@@ -125,10 +117,8 @@ class ExperimentConfig:
             self._check("n_test_per_class", self.n_test_per_class
                         < min(self.n_benign, self.n_malware))
         self._check("epsilon", _real(self.epsilon, 0, 1) and self.epsilon > 0)
-        self._check("max_inject", self.max_inject is None
-                    or isinstance(self.max_inject, dict)
-                    and set(self.max_inject) <= _CAPPABLE
-                    and all(_real(v, 0) for v in self.max_inject.values()))
+        self._check("max_inject", isinstance(self.max_inject, (dict, type(None))))
+        AttackBudget(max_inject=self.max_inject)
         self._check("extras", _ints(self.extras, 0)
                     and all(flat_injection(e) is not None for e in self.extras))
         self._check("prune_fraction", _real(self.prune_fraction, 0, 1)
@@ -140,7 +130,7 @@ class ExperimentConfig:
         self._check("corr_threshold", _real(self.corr_threshold, -1, 1))
         self._check("sizes", len(self.sizes) > 0
                     and _ints(self.sizes, 2, self.n_groups))
-        self._check("policy", self.policy in ("uniform", "priority"))
+        self._check("policy", self.policy in POLICIES)
         self._check("h_t", _ints([self.h_t], 1))
         self._check("r_max", _ints([self.r_max], 1, self.h_t))
         self._check("single_h", _ints([self.single_h], 1, self.h_t))
@@ -192,9 +182,8 @@ class ExperimentConfig:
 
 def _evaluate(classifier, traces):
     ds = Dataset(tuple(traces), provenance="synthetic")
-    counters = traces[0].counters
-    X, y = ds.stack(counters)
-    cc = confusion_from_predictions(classifier.predict_labels(X, counters), y)
+    X, y = ds.stack(ds.counters)
+    cc = confusion_from_predictions(classifier.predict_labels(X, ds.counters), y)
     return compute_metrics(cc)
 
 

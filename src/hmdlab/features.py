@@ -52,9 +52,8 @@ class HpcGrouping:
 def _stacked(train):
     if not train.has_both_labels():
         raise DegenerateDataError("need both labels")
-    counters = train.traces[0].counters
-    X, y = train.stack(counters)
-    return counters, X, y
+    X, y = train.stack(train.counters)
+    return train.counters, X, y
 
 
 def univariate_select_k_best(train, k):
@@ -114,8 +113,7 @@ def feature_importance_scores(train, n_trees=25, seed=0):
 def correlation_matrix(train):
     """Pearson r over all iterations pooled across apps. Zero-variance
     columns correlate 0 with everything and 1 with themselves."""
-    counters = train.traces[0].counters
-    X, _ = train.stack(counters)
+    X, _ = train.stack(train.counters)
     if X.shape[0] < 2:
         raise DegenerateDataError("need at least 2 rows")
     centered = X - X.mean(axis=0)
@@ -127,7 +125,7 @@ def correlation_matrix(train):
     np.fill_diagonal(r, 1.0)
     r = np.clip(r, -1.0, 1.0)
     r = 0.5 * (r + r.T)
-    return CorrelationMatrix(counters=tuple(counters), r=r)
+    return CorrelationMatrix(counters=train.counters, r=r)
 
 
 def _combined_ranks(chi2, imp):

@@ -19,6 +19,8 @@ LFSR_WIDTH = 16
 LFSR_TAPS = (16, 15, 13, 4)  # maximal length: period 2^16 - 1
 LFSR_PERIOD = (1 << LFSR_WIDTH) - 1
 
+POLICIES = ("uniform", "priority")  # the selection policies a pool can run
+
 
 @dataclass(frozen=True)
 class Lfsr:
@@ -81,14 +83,14 @@ class ClassifierSelector:
 @dataclass(frozen=True)
 class MtdPool:
     classifiers: tuple
-    policy: str  # "uniform" | "priority"
+    policy: str  # one of POLICIES
     seed: int
     best_index: int = 0
 
     def __post_init__(self):
         if len(self.classifiers) < 2:
             raise ConfigurationError("an MTD pool requires at least 2 classifiers")
-        if self.policy not in ("uniform", "priority"):
+        if self.policy not in POLICIES:
             raise ConfigurationError(f"unknown policy {self.policy!r}")
         if not 0 <= self.best_index < len(self.classifiers):
             raise ConfigurationError("best_index out of range")
@@ -119,9 +121,8 @@ class MtdRunReport:
 
 def _training_accuracies(members, train):
     """Each member's accuracy on the training rows."""
-    counters = train.traces[0].counters
-    X, y = train.stack(counters)
-    return [(m.predict_labels(X, counters) == y).mean() for m in members]
+    X, y = train.stack(train.counters)
+    return [(m.predict_labels(X, train.counters) == y).mean() for m in members]
 
 
 def design_pool(
@@ -167,12 +168,9 @@ def classify_stream(pool, test):
     account pass/fail against the true labels."""
     if not test.traces:
         raise EmptyEvaluationError("empty test dataset")
-    counters = test.traces[0].counters
-    X, y = test.stack(counters)
-    if len(y) == 0:
-        raise EmptyEvaluationError("no iterations to classify")
+    X, y = test.stack(test.counters)  # every trace has at least one row
     member_labels = np.vstack(
-        [m.predict_labels(X, counters) for m in pool.classifiers]
+        [m.predict_labels(X, test.counters) for m in pool.classifiers]
     )
     selector = ClassifierSelector(pool)
     chosen = np.array([selector.select(t) for t in range(len(y))])

@@ -4,7 +4,7 @@ perf-style CSV ingestion/export, and train/test splitting."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,10 +92,12 @@ class HpcTrace:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable collection of traces with unique app ids."""
+    """Immutable collection of traces with unique app ids and one shared
+    counter list, `counters` (empty for an empty dataset)."""
 
     traces: tuple
     provenance: str = "synthetic"
+    counters: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "traces", tuple(self.traces))
@@ -104,6 +106,10 @@ class Dataset:
             raise DataError("app_ids must be unique within a dataset")
         if self.provenance not in ("synthetic", "ingested"):
             raise DataError(f"bad provenance {self.provenance!r}")
+        lists = {t.counters for t in self.traces}
+        if len(lists) > 1:
+            raise DataError("all traces in a dataset must share one counter list")
+        object.__setattr__(self, "counters", lists.pop() if lists else ())
 
     def __len__(self):
         return len(self.traces)
@@ -119,24 +125,24 @@ class Dataset:
         """Pool all iteration rows restricted to `counters`.
 
         Returns (X, y) with X float64 of shape (total_rows, len(counters))
-        and y int (1 = malware). Raises FeatureMismatchError if a trace lacks
-        a counter.
+        and y int (1 = malware). Raises FeatureMismatchError if the traces
+        lack a counter.
         """
         counters = tuple(counters)
-        xs, ys = [], []
-        for t in self.traces:
-            try:
-                idx = [t.counters.index(c) for c in counters]
-            except ValueError:
-                missing = next(c for c in counters if c not in t.counters)
-                raise FeatureMismatchError(
-                    f"app {t.app_id!r} lacks counter {missing!r}"
-                ) from None
-            xs.append(t.values[:, idx].astype(np.float64))
-            ys.append(np.full(t.iterations, 1 if t.label == "malware" else 0))
-        if not xs:
+        if not self.traces:
             return np.empty((0, len(counters))), np.empty(0, dtype=np.int64)
-        return np.vstack(xs), np.concatenate(ys)
+        lookup = {c: i for i, c in enumerate(self.counters)}
+        try:
+            idx = [lookup[c] for c in counters]
+        except KeyError as exc:
+            raise FeatureMismatchError(
+                f"app {self.traces[0].app_id!r} lacks counter {exc.args[0]!r}"
+            ) from None
+        X = np.concatenate([t.values[:, idx] for t in self.traces], dtype=np.float64)
+        y = np.concatenate(
+            [np.full(t.iterations, int(t.label == "malware")) for t in self.traces]
+        )
+        return X, y
 
 
 @dataclass(frozen=True)
@@ -270,17 +276,9 @@ def split_train_test(d, n_test_per_class, seed):
 
 def write_perf_csv(d, path):
     """Export a dataset in the ingestion CSV format (UTF-8, LF endings)."""
-    counters = None
-    for t in d.traces:
-        if counters is None:
-            counters = t.counters
-        elif t.counters != counters:
-            raise DataError("all traces must share one counter list for export")
-    if counters is None:
-        counters = HPC_CATALOG
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["app_id", "label", "iteration"] + list(counters))
+        w.writerow(["app_id", "label", "iteration", *(d.counters or HPC_CATALOG)])
         for t in d.traces:
             for it in range(t.iterations):
                 w.writerow([t.app_id, t.label, it] + t.values[it].tolist())

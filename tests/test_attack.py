@@ -17,6 +17,7 @@ from hmdlab.errors import (
     ConfigurationError,
     CounterRangeError,
     DataError,
+    FeatureMismatchError,
     OracleError,
     ShapeError,
     UnsupportedModelError,
@@ -68,6 +69,32 @@ def test_budget_validation():
         AttackBudget(epsilon=1.5)
     with pytest.raises(ConfigurationError):
         AttackBudget(coupling={"branch-misses": {"instructions": -1.0}})
+
+
+@pytest.mark.parametrize(
+    "max_inject",
+    [
+        {"branch-mises": 5},  # misspelt
+        {"cpu-cycles": 5},  # a counter no perturbation writes
+        {"branch-misses": -1},
+        {"branch-misses": float("inf")},
+        {"branch-misses": float("nan")},
+        {"branch-misses": True},
+        {"branch-misses": "5"},
+    ],
+)
+def test_budget_rejects_bad_max_inject(max_inject):
+    with pytest.raises(ConfigurationError):
+        AttackBudget(max_inject=max_inject)
+
+
+def test_budget_caps_every_counter_a_perturbation_writes():
+    caps = {c: 0 for c in ("branch-misses", "LLC-load-misses")}
+    caps.update({"instructions": 2.5, "branch-instructions": np.int64(3)})
+    assert AttackBudget(max_inject=caps).max_inject == caps
+    # the writable set follows the budget's own coupling
+    with pytest.raises(ConfigurationError):
+        AttackBudget(coupling={}, max_inject={"instructions": 1})
 
 
 def test_perturbation_rejects_negative_and_misshapen():
@@ -143,6 +170,13 @@ def test_craft_zero_gradient_gives_empty_perturbation():
     p = craft_perturbation(sur, trace, AttackBudget())
     assert p.n_rows == 2
     assert p.nonzero_counters() == set()
+
+
+def test_craft_rejects_trace_lacking_a_view_counter():
+    sur = _surrogate([0.0, -1.0, 0.0, 0.0])
+    trace = make_trace("m0", "malware", ATTACK_HPCS[:3], [[10, 10, 10]])
+    with pytest.raises(FeatureMismatchError):
+        craft_perturbation(sur, trace, AttackBudget())
 
 
 def test_craft_coupling_arithmetic_exact():

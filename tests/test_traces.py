@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
-from hmdlab.errors import ConfigurationError, DataError, ParseError, SplitSizeError
+from hmdlab.errors import (
+    ConfigurationError,
+    DataError,
+    FeatureMismatchError,
+    ParseError,
+    SplitSizeError,
+)
 from hmdlab.traces import (
     CATALOG_INDEX,
     HPC_CATALOG,
@@ -98,6 +104,62 @@ def test_stack_shapes(small_dataset):
     assert X.shape == (160 * 10, 2)
     assert set(np.unique(y)) == {0, 1}
     assert y.sum() == 80 * 10
+
+
+def test_dataset_owns_one_counter_list(small_dataset):
+    assert small_dataset.counters == HPC_CATALOG
+    assert Dataset(()).counters == ()
+
+
+def test_dataset_rejects_traces_with_different_counter_lists():
+    a = make_trace("a", "benign", ("instructions", "cpu-cycles"), [[1, 2]])
+    b = make_trace("b", "malware", ("cpu-cycles", "instructions"), [[2, 1]])
+    with pytest.raises(DataError):
+        Dataset((a, b))
+
+
+def _stack_per_trace(ds, counters):
+    """Stacking as done trace by trace, each trace looking up its own
+    columns: the reference `Dataset.stack` must reproduce."""
+    xs, ys = [], []
+    for t in ds.traces:
+        idx = [t.counters.index(c) for c in counters]
+        xs.append(t.values[:, idx].astype(np.float64))
+        ys.append(np.full(t.iterations, 1 if t.label == "malware" else 0))
+    if not xs:
+        return np.empty((0, len(counters))), np.empty(0, dtype=np.int64)
+    return np.vstack(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize("n_apps", [0, 1, 7])
+@pytest.mark.parametrize(
+    "counters",
+    [
+        HPC_CATALOG,
+        ("branch-misses", "instructions", "LLC-load-misses"),
+        tuple(reversed(HPC_CATALOG)),
+        (),
+    ],
+)
+def test_stack_matches_per_trace_stack(small_dataset, n_apps, counters):
+    # the first and last apps are benign and malware
+    traces = small_dataset.traces[: (n_apps + 1) // 2]
+    traces += small_dataset.traces[len(small_dataset) - n_apps // 2 :]
+    ds = Dataset(traces)
+    X, y = ds.stack(counters)
+    X_ref, y_ref = _stack_per_trace(ds, counters)
+    for got, ref in ((X, X_ref), (y, y_ref)):
+        assert got.dtype == ref.dtype
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        # memory order too: it sets the summation order of column statistics
+        assert got.flags == ref.flags
+
+
+def test_stack_missing_counter_raises_feature_mismatch():
+    d = Dataset((make_trace("a", "benign", ("instructions",), [[1]]),))
+    with pytest.raises(FeatureMismatchError, match="lacks counter 'cpu-cycles'"):
+        d.stack(("instructions", "cpu-cycles"))
 
 
 def test_split_counts(small_dataset):
