@@ -33,7 +33,6 @@ from .models import (
     Metrics,
     TrainedClassifier,
     compute_metrics,
-    fit,
     input_gradient,
     train_classifier,
 )
@@ -49,7 +48,6 @@ from .traces import (
     HPC_CATALOG,
     Dataset,
     HpcTrace,
-    SyntheticProfile,
     default_profile,
     generate_synthetic_dataset,
     parse_perf_csv,

@@ -21,9 +21,7 @@ from .errors import (
 from .models import (
     FeatureView,
     TrainedClassifier,
-    fit,
-    # Unused here; perfbench's tracer self-test looks it up in this module.
-    fit_network_arrays,  # noqa: F401
+    fit_network_arrays,
     input_gradient,
 )
 from .traces import INT64_MAX, Dataset, HpcTrace
@@ -111,22 +109,11 @@ class SurrogateReport:
     agreement: float  # victim-label agreement on held-out probes
 
 
-def reverse_engineer(
-    victim,
-    probe,
-    candidate_algos,
-    seed,
-    counters=None,
-    tree_params=None,
-    network_params=None,
-):
-    """Train surrogate candidates on black-box victim labels over a 70/30
-    app-level probe split; return the candidate with the best held-out
-    agreement."""
+def reverse_engineer(victim, probe, seed, counters=None, network_params=None):
+    """Train a network surrogate on black-box victim labels over a 70/30
+    app-level probe split; report its held-out agreement with the victim."""
     if len(probe.traces) < 2:
         raise ConfigurationError("probe needs at least 2 apps")
-    if not candidate_algos:
-        raise ConfigurationError("candidate algorithm list is empty")
     counters = tuple(counters) if counters else probe.counters
 
     rng = np.random.default_rng(seed)
@@ -145,17 +132,11 @@ def reverse_engineer(
         raise OracleError(f"victim oracle failed: {exc}") from exc
 
     view = FeatureView.from_rows(counters, X_fit)
-    best = None
-    for i, algo in enumerate(candidate_algos):
-        cand = fit(
-            algo, X_fit, y_fit, view, seed + 101 * (i + 1), tree_params, network_params
-        )
-        agreement = float(
-            (cand.predict_labels(X_held, counters) == y_held).mean()
-        )
-        if best is None or agreement > best.agreement:
-            best = SurrogateReport(surrogate=cand, agreement=agreement)
-    return best
+    surrogate = fit_network_arrays(
+        X_fit, y_fit, view, seed + 101, **(network_params or {})
+    )
+    agreement = float((surrogate.predict_labels(X_held, counters) == y_held).mean())
+    return SurrogateReport(surrogate=surrogate, agreement=agreement)
 
 
 def craft_perturbation(surrogate, trace, budget):

@@ -5,10 +5,6 @@ class HmdlabError(Exception):
     """Base class for all hmdlab errors."""
 
 
-class ProfileError(HmdlabError):
-    """Synthetic profile fails validation (e.g. non-positive log-sdev)."""
-
-
 class ParseError(HmdlabError):
     """CSV ingestion failure; carries the offending line number."""
 

@@ -9,6 +9,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -188,14 +189,16 @@ def _evaluate(classifier, traces):
 
 
 class SeedContext:
-    """Per-seed data, victims and attack artifacts shared across recipes."""
+    """Per-seed data, victims and attack artifacts shared across recipes.
+    `full` is the dataset to split, when the caller has it already; by
+    default it is the parsed `cfg.csv_path` or the seed's synthetic draw."""
 
-    def __init__(self, cfg, seed):
+    def __init__(self, cfg, seed, full=None):
         self.cfg = cfg
         self.seed = seed
-        if cfg.csv_path:
+        if full is None and cfg.csv_path:
             full = parse_perf_csv(cfg.csv_path)
-        else:
+        elif full is None:
             profile = default_profile(iterations=cfg.iterations)
             full = generate_synthetic_dataset(
                 profile, cfg.n_benign, cfg.n_malware, seed
@@ -207,9 +210,6 @@ class SeedContext:
         self.test_benign = self.test.by_label("benign")
         self.budget = AttackBudget(epsilon=cfg.epsilon, max_inject=cfg.max_inject)
         self._victims = {}
-        self._surrogate = None
-        self._perturbations = None
-        self._attacked = None
 
     def victim(self, algo):
         if algo not in self._victims:
@@ -223,47 +223,38 @@ class SeedContext:
             )
         return self._victims[algo]
 
+    @cached_property
     def surrogate(self):
         """Network surrogate reverse-engineered from the tree victim, which
         stands in for whichever detector is deployed."""
-        if self._surrogate is None:
-            cfg = self.cfg
-            if cfg.csv_path:
-                probe = self.train
-            else:
-                probe = generate_synthetic_dataset(
-                    default_profile(iterations=cfg.iterations),
-                    cfg.probe_per_class,
-                    cfg.probe_per_class,
-                    self.seed + 7919,
-                )
-            self._surrogate = reverse_engineer(
-                self.victim("decision_tree").predict_labels,
-                probe,
-                ["neural_network"],
-                seed=self.seed + 13,
-                counters=ATTACK_HPCS,
-                tree_params=cfg.tree_params,
-                network_params=cfg.network_params,
+        cfg = self.cfg
+        if cfg.csv_path:
+            probe = self.train
+        else:
+            probe = generate_synthetic_dataset(
+                default_profile(iterations=cfg.iterations),
+                cfg.probe_per_class,
+                cfg.probe_per_class,
+                self.seed + 7919,
             )
-        return self._surrogate
+        return reverse_engineer(
+            self.victim("decision_tree").predict_labels,
+            probe,
+            seed=self.seed + 13,
+            counters=ATTACK_HPCS,
+            network_params=cfg.network_params,
+        )
 
+    @cached_property
     def perturbations(self):
         """One crafted perturbation per test malware trace."""
-        if self._perturbations is None:
-            sur = self.surrogate().surrogate
-            self._perturbations = [
-                craft_perturbation(sur, t, self.budget) for t in self.test_malware
-            ]
-        return self._perturbations
+        sur = self.surrogate.surrogate
+        return [craft_perturbation(sur, t, self.budget) for t in self.test_malware]
 
+    @cached_property
     def attacked_malware(self):
         """Test malware traces with their crafted perturbations injected."""
-        if self._attacked is None:
-            self._attacked = [
-                inject(t, p) for t, p in zip(self.test_malware, self.perturbations())
-            ]
-        return self._attacked
+        return [inject(t, p) for t, p in zip(self.test_malware, self.perturbations)]
 
     def pool(self, algos):
         """MTD pool training one `algos[i]` member on each default group."""
@@ -291,8 +282,8 @@ def _baseline_seed(ctx):
 
 
 def _attack_seed(ctx):
-    attacked = ctx.attacked_malware()
-    out = {"surrogate_agreement": ctx.surrogate().agreement}
+    attacked = ctx.attacked_malware
+    out = {"surrogate_agreement": ctx.surrogate.agreement}
     for algo in ALGOS:
         victim = ctx.victim(algo)
         clean = _evaluate(victim, ctx.test.traces)
@@ -309,7 +300,7 @@ def _attack_seed(ctx):
 
 
 def _mtd_seed(ctx):
-    attacked_test = ctx.attacked_malware() + ctx.test_benign
+    attacked_test = ctx.attacked_malware + ctx.test_benign
     out = _attack_seed(ctx)
     for algo in ALGOS:
         report = classify_stream(ctx.pool([algo, algo]), Dataset(tuple(attacked_test)))
@@ -319,7 +310,7 @@ def _mtd_seed(ctx):
 
 
 def _mixed_seed(ctx):
-    attacked = Dataset(tuple(ctx.attacked_malware()))
+    attacked = Dataset(tuple(ctx.attacked_malware))
     out = {}
     for name, algos in (
         ("tree_on_A_network_on_B", ("decision_tree", "neural_network")),
@@ -332,7 +323,7 @@ def _mixed_seed(ctx):
 def _resilience_seed(ctx):
     cfg = ctx.cfg
     victim = ctx.victim("neural_network")
-    perturbations = ctx.perturbations()
+    perturbations = ctx.perturbations
     pool = ctx.pool(["neural_network", "neural_network"])
     clean_acc = _evaluate(victim, ctx.test_malware).accuracy
     rows = []
@@ -372,7 +363,7 @@ def _sweep_recipe(cfg):
     pool training varies over all configured seeds."""
     ctx = SeedContext(cfg, cfg.seeds[0])
     grouping = _grouping_for(cfg, ctx.train)
-    attacked = Dataset(tuple(ctx.attacked_malware()))
+    attacked = Dataset(tuple(ctx.attacked_malware))
     out = {"groups": [list(g) for g in grouping.groups]}
     for algo in ALGOS:
         out[algo] = evaluate_pool_sweep(
@@ -424,7 +415,9 @@ def _per_seed(seed_fn):
     """A recipe running `seed_fn` on each seed's context, then aggregating."""
 
     def recipe(cfg):
-        per_seed = {seed: seed_fn(SeedContext(cfg, seed)) for seed in cfg.seeds}
+        # A CSV is the same for every seed, so it is parsed once per run.
+        full = parse_perf_csv(cfg.csv_path) if cfg.csv_path else None
+        per_seed = {seed: seed_fn(SeedContext(cfg, seed, full)) for seed in cfg.seeds}
         return {"per_seed": per_seed, "aggregate": _aggregate(per_seed)}
 
     return recipe

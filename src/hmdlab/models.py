@@ -365,27 +365,22 @@ def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):
     )
 
 
-def fit(algo, X, y, view, seed, tree_params=None, network_params=None):
-    """Train an `algo` classifier on rows X (columns in view order) with 0/1
-    labels y. The params dicts override the trainers' keyword defaults."""
+def train_classifier(
+    algo, dataset, counters, seed, tree_params=None, network_params=None
+):
+    """Train an `algo` classifier on every iteration row of `dataset`,
+    restricted to `counters` and standardized over those same rows. The
+    params dicts override the trainers' keyword defaults."""
+    if not dataset.has_both_labels():
+        raise DegenerateDataError("training data must contain both labels")
+    X, y = dataset.stack(counters)
+    view = FeatureView.from_rows(counters, X)
     # Trainers are found by global name at call time, so a rebound one sees every fit.
     if algo == "decision_tree":
         return fit_tree_arrays(X, y, view, seed, **(tree_params or {}))
     if algo == "neural_network":
         return fit_network_arrays(X, y, view, seed, **(network_params or {}))
     raise ConfigurationError(f"unknown algorithm {algo!r}")
-
-
-def train_classifier(
-    algo, dataset, counters, seed, tree_params=None, network_params=None
-):
-    """Train an `algo` classifier on every iteration row of `dataset`,
-    restricted to `counters` and standardized over those same rows."""
-    if not dataset.has_both_labels():
-        raise DegenerateDataError("training data must contain both labels")
-    X, y = dataset.stack(counters)
-    view = FeatureView.from_rows(counters, X)
-    return fit(algo, X, y, view, seed, tree_params, network_params)
 
 
 def input_gradient(classifier, rows, target_label):

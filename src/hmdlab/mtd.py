@@ -131,16 +131,14 @@ def design_pool(
     algos,
     policy="uniform",
     seed=0,
-    best_index=None,
     tree_params=None,
     network_params=None,
 ):
     """Train one classifier per disjoint counter group.
 
     `grouping` is an HpcGrouping or a plain list of counter lists. For the
-    priority policy, `best_index` defaults to the member with the highest
-    training accuracy (ties to the lower index); the uniform policy never
-    reads it.
+    priority policy, the best member is the one with the highest training
+    accuracy (ties to the lower index); the uniform policy never reads it.
     """
     groups = getattr(grouping, "groups", grouping)
     if len(groups) != len(algos):
@@ -153,13 +151,11 @@ def design_pool(
         )
         for i, (group, algo) in enumerate(zip(groups, algos))
     ]
-    if policy == "priority" and best_index is None:
+    best_index = 0
+    if policy == "priority":
         best_index = int(np.argmax(_training_accuracies(members, train)))
     return MtdPool(
-        classifiers=tuple(members),
-        policy=policy,
-        seed=seed,
-        best_index=0 if best_index is None else best_index,
+        classifiers=tuple(members), policy=policy, seed=seed, best_index=best_index
     )
 
 
@@ -212,8 +208,8 @@ def evaluate_pool_sweep(
     top = max(sizes)
     per_size = [[] for _ in sizes]
     for seed in seeds:
-        # best_index 0: each prefix's best member is picked below instead.
-        members = design_pool(train, groups[:top], [algo] * top, policy, seed, 0,
+        # Members do not depend on the policy; each prefix's best is picked below.
+        members = design_pool(train, groups[:top], [algo] * top, "uniform", seed,
                               tree_params, network_params).classifiers
         # argmax keeps ties on the lower index; uniform never reads best_index.
         accs = [0] if policy == "uniform" else _training_accuracies(members, train)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataError, FeatureMismatchError
-from .errors import ParseError, ProfileError, SplitSizeError
+from .errors import ParseError, SplitSizeError
 
 # Canonical 20-counter catalog. Order is the global tie-break order.
 HPC_CATALOG = (
@@ -146,7 +146,7 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class SyntheticProfile:
+class _SyntheticProfile:
     """Class-conditional lognormal model with latent factors.
 
     log(value) = class log-mean + loadings @ z + log-sdev * eps, with z and
@@ -158,24 +158,6 @@ class SyntheticProfile:
     log_sdev: np.ndarray  # (20,) idiosyncratic, > 0
     loadings: np.ndarray  # (20, n_factors)
     iterations: int = 20
-
-    def __post_init__(self):
-        for name in ("benign_log_mean", "malware_log_mean", "log_sdev", "loadings"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr)
-        n = len(HPC_CATALOG)
-        if self.benign_log_mean.shape != (n,) or self.malware_log_mean.shape != (n,):
-            raise ProfileError("log-mean vectors must cover the full catalog")
-        if self.log_sdev.shape != (n,):
-            raise ProfileError("log-sdev must cover the full catalog")
-        if (self.log_sdev <= 0).any():
-            raise ProfileError("log-sdev must be strictly positive")
-        if self.loadings.ndim != 2 or self.loadings.shape[0] != n:
-            raise ProfileError("loadings must be (counters x factors)")
-        if not np.isfinite(self.loadings).all():
-            raise ProfileError("loadings must be finite")
-        if self.iterations < 1:
-            raise ProfileError("iterations must be >= 1")
 
 
 # Per-counter (benign log-mean, malware shift, idiosyncratic log-sdev,
@@ -215,7 +197,7 @@ def default_profile(iterations=20):
     shift = np.array([r[1] for r in rows])
     sdev = np.array([r[2] for r in rows])
     loadings = np.array([[r[3], r[4]] for r in rows])
-    return SyntheticProfile(
+    return _SyntheticProfile(
         benign_log_mean=benign,
         malware_log_mean=benign + shift,
         log_sdev=sdev,
@@ -226,8 +208,8 @@ def default_profile(iterations=20):
 
 def generate_synthetic_dataset(profile, n_benign, n_malware, seed):
     """Draw a labeled dataset from the profile; deterministic per seed."""
-    if n_benign < 1 or n_malware < 1:
-        raise ConfigurationError("counts must be >= 1")
+    if min(n_benign, n_malware, profile.iterations) < 1:
+        raise ConfigurationError("app counts and iterations must be >= 1")
     rng = np.random.default_rng(seed)
     n_counters = len(HPC_CATALOG)
     n_factors = profile.loadings.shape[1]

@@ -238,7 +238,7 @@ def sweep_context():
     cfg = ExperimentConfig(recipe="pool_sweep")
     ctx = SeedContext(cfg, cfg.seeds[0])
     grouping = _grouping_for(cfg, ctx.train)
-    attacked = Dataset(tuple(ctx.attacked_malware()))
+    attacked = Dataset(tuple(ctx.attacked_malware))
     return cfg, ctx, grouping, attacked
 
 

@@ -125,17 +125,11 @@ def test_perturbation_addition_and_json():
 def test_reverse_engineer_self_distillation():
     prof = default_profile(iterations=10)
     train = generate_synthetic_dataset(prof, 100, 100, 5)
-    victim = train_classifier("decision_tree", train, ATTACK_HPCS, 5)
+    victim = train_classifier("neural_network", train, ATTACK_HPCS, 5)
     probe = generate_synthetic_dataset(prof, 100, 100, 99)  # 200 probe apps
-    rep = reverse_engineer(
-        victim.predict_labels,
-        probe,
-        ["decision_tree"],
-        seed=3,
-        counters=ATTACK_HPCS,
-    )
+    rep = reverse_engineer(victim.predict_labels, probe, seed=3, counters=ATTACK_HPCS)
     assert rep.agreement >= 0.9
-    assert rep.surrogate.algo == "decision_tree"
+    assert rep.surrogate.algo == "neural_network"
 
 
 def test_reverse_engineer_boundaries():
@@ -143,11 +137,7 @@ def test_reverse_engineer_boundaries():
     one_app = Dataset(probe.traces[:1])
     oracle = lambda X, counters: np.zeros(len(X), dtype=np.int64)
     with pytest.raises(ConfigurationError):
-        reverse_engineer(oracle, one_app, ["decision_tree"], seed=0)
-    with pytest.raises(ConfigurationError):
-        reverse_engineer(oracle, probe, [], seed=0)
-    with pytest.raises(ConfigurationError):
-        reverse_engineer(oracle, probe, ["nearest_neighbor"], seed=0)
+        reverse_engineer(oracle, one_app, seed=0)
 
 
 def test_reverse_engineer_wraps_oracle_failure():
@@ -157,7 +147,7 @@ def test_reverse_engineer_wraps_oracle_failure():
         raise RuntimeError("victim offline")
 
     with pytest.raises(OracleError):
-        reverse_engineer(broken, probe, ["decision_tree"], seed=0)
+        reverse_engineer(broken, probe, seed=0)
 
 
 # ---------------------------------------------------------------------------

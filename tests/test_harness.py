@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import stump
 from hmdlab.cli import _build_parser, main
+from hmdlab import experiments
 from hmdlab.errors import ConfigurationError, MappingError
 from hmdlab.experiments import (
     ALGOS,
@@ -115,8 +116,8 @@ def test_attack_seed_full_evasion_leaves_precision_drop_undefined():
     ctx = SimpleNamespace(
         test=Dataset((trace("m0", "malware", 10), benign)),
         test_benign=[benign],
-        attacked_malware=lambda: [trace("m0", "malware", 900)],
-        surrogate=lambda: SimpleNamespace(agreement=1.0),
+        attacked_malware=[trace("m0", "malware", 900)],
+        surrogate=SimpleNamespace(agreement=1.0),
         victim=lambda algo: victim,
     )
     out = _attack_seed(ctx)
@@ -156,7 +157,7 @@ def test_pool_sweep_recipe_follows_the_policy():
     res = run(cfg)["results"]
     ctx = SeedContext(cfg, cfg.seeds[0])
     grouping = _grouping_for(cfg, ctx.train)
-    attacked = Dataset(tuple(ctx.attacked_malware()))
+    attacked = Dataset(tuple(ctx.attacked_malware))
     for algo in ALGOS:
         assert res[algo] == evaluate_pool_sweep(
             ctx.train, attacked, grouping, algo, "priority", sizes=[2, 3],
@@ -173,6 +174,23 @@ def test_csv_ingestion_path(tmp_path):
     report = run(cfg)
     assert report["config"]["csv_path"] == str(csv_path)
     assert set(report["results"]["per_seed"]) == {3}
+
+
+def test_csv_is_parsed_once_per_run(tmp_path, monkeypatch):
+    data = generate_synthetic_dataset(default_profile(iterations=5), 30, 30, 1)
+    csv_path = tmp_path / "traces.csv"
+    write_perf_csv(data, csv_path)
+    parse, paths = experiments.parse_perf_csv, []
+
+    def counted(path):
+        paths.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(experiments, "parse_perf_csv", counted)
+    cfg = _fast("baseline", seeds=(3, 4), csv_path=str(csv_path), n_test_per_class=5)
+    report = run(cfg)
+    assert paths == [str(csv_path)]
+    assert set(report["results"]["per_seed"]) == {3, 4}
 
 
 # ---------------------------------------------------------------------------

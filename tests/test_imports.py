@@ -11,17 +11,15 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 def unused_imports(source):
     """Names bound by module-level imports that the module never reads.
-    `from __future__` imports and lines marked `# noqa: F401` are exempt."""
+    `from __future__` imports are exempt."""
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" not in lines[alias.lineno - 1]:
-                    imported.append(alias.asname or alias.name.split(".")[0])
+                imported.append(alias.asname or alias.name.split(".")[0])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in imported if name not in used]
 

@@ -24,7 +24,6 @@ from hmdlab.models import (
     TrainedClassifier,
     compute_metrics,
     confusion_from_predictions,
-    fit,
     fit_network_arrays,
     fit_tree_arrays,
     grow_cart,
@@ -467,10 +466,6 @@ def test_network_with_nan_weight_diverges_at_epoch_zero():
 
 def test_fit_rejects_unknown_algo_and_one_label_data():
     d = two_class_dataset(TWO, [[1, 2]], [[9, 8]])
-    X, y = d.stack(TWO)
-    view = FeatureView.from_rows(TWO, X)
-    with pytest.raises(ConfigurationError):
-        fit("nearest_neighbor", X, y, view, 0)
     with pytest.raises(ConfigurationError):
         train_classifier("nearest_neighbor", d, TWO, 0)
     benign_only = Dataset(tuple(d.by_label("benign")))

@@ -168,6 +168,25 @@ def test_design_pool_trains_disjoint_members(small_dataset):
         design_pool(small_dataset, groups[:1], ["decision_tree"])
 
 
+def test_design_pool_priority_best_is_first_most_accurate_member():
+    groups = [("branch-misses",), ("instructions",)]
+    both = _stream_dataset(iterations=20)  # perfectly separable on each counter
+    # A constant branch-misses column leaves member 0 no split to learn.
+    only_second = Dataset(tuple(
+        make_trace(t.app_id, t.label, t.counters,
+                   np.column_stack([np.full(t.iterations, 7), t.values[:, 1]]))
+        for t in both.traces
+    ))
+    for train, perfect, best in ((both, [True, True], 0),
+                                 (only_second, [False, True], 1)):
+        pool = design_pool(train, groups, ["decision_tree"] * 2, policy="priority")
+        X, y = train.stack(train.counters)
+        accs = [(m.predict_labels(X, train.counters) == y).mean()
+                for m in pool.classifiers]
+        assert [a == 1.0 for a in accs] == perfect
+        assert pool.best_index == best
+
+
 # ---------------------------------------------------------------------------
 # Stream classification
 

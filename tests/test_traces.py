@@ -67,6 +67,9 @@ def test_dataset_unique_ids_and_labels():
 def test_bad_counts_provenance_and_mixed_export_raise_hmdlab_errors(tmp_path):
     with pytest.raises(ConfigurationError):
         generate_synthetic_dataset(default_profile(iterations=2), 0, 1, 0)
+    for iterations in (0, -1):
+        with pytest.raises(ConfigurationError):
+            generate_synthetic_dataset(default_profile(iterations), 1, 1, 0)
     a = make_trace("a", "benign", ("instructions",), [[1]])
     b = make_trace("b", "malware", ("cpu-cycles",), [[1]])
     with pytest.raises(DataError):
