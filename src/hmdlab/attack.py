@@ -24,7 +24,7 @@ from .models import (
     fit_network_arrays,
     input_gradient,
 )
-from .traces import INT64_MAX, Dataset, HpcTrace
+from .traces import INT64_MAX, Dataset, HpcTrace, column_indices
 
 # Injected events per loop of the generator also tick other counters; one
 # branch-miss costs a handful of instructions and branch instructions, one
@@ -150,7 +150,8 @@ def craft_perturbation(surrogate, trace, budget):
     if trace.label != "malware":
         raise ConfigurationError("only malware traces are camouflaged")
     view = surrogate.view
-    X = trace.values[:, view.column_indices(trace.counters)].astype(np.float64)
+    idx = column_indices(trace.counters, view.counters)
+    X = trace.values[:, idx].astype(np.float64)
     g = input_gradient(surrogate, X, "malware")
     deltas = {}
     for c in budget.controllable:

@@ -63,7 +63,7 @@ def _config_from_args(args):
     """The config file (or defaults) with every given `run` flag laid over it."""
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     overrides = {
-        name: tuple(value) if name == "seeds" else value
+        name: tuple(value) if isinstance(value, list) else value
         for name, value in vars(args).items()
         if name in ExperimentConfig.__dataclass_fields__ and value is not None
     }
@@ -100,10 +100,7 @@ def main(argv=None):
         else:  # validate-config
             ExperimentConfig.from_file(args.config)
             print("ok")
-    except HmdlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HmdlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import analysis
+from . import __version__, analysis
 from .attack import (
     AttackBudget,
     craft_perturbation,
@@ -38,8 +38,6 @@ from .traces import (
     parse_perf_csv,
     split_train_test,
 )
-
-TOOL_VERSION = "0.1.0"
 
 # Default counter subsets for the end-to-end experiments: the victim
 # detector watches the four counters the attack manipulates; the defense
@@ -164,11 +162,11 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         obj = dict(obj)
-        for key in ("seeds", "hidden", "sizes", "extras", "sweep_h_t"):
-            if key in obj:
-                if not isinstance(obj[key], list):
+        for key, value in obj.items():
+            if isinstance(cls.__dataclass_fields__[key].default, tuple):
+                if not isinstance(value, list):
                     raise ConfigurationError(f"{key} must be a list")
-                obj[key] = tuple(obj[key])
+                obj[key] = tuple(value)
         return cls(**obj)
 
     @classmethod
@@ -441,7 +439,7 @@ def run(cfg):
     results = RECIPES[cfg.recipe](cfg)
     return {
         "tool": "hmdlab",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "recipe": cfg.recipe,
         "config": _config_echo(cfg),
         "results": results,

@@ -21,6 +21,7 @@ from .errors import (
     FeatureMismatchError,
     UnsupportedModelError,
 )
+from .traces import column_indices
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,6 @@ class FeatureView:
 
     def standardize(self, X):
         return (X - self.means) / self.sdevs
-
-    def column_indices(self, counters):
-        """Indices of this view's counters inside an external column order."""
-        lookup = {c: i for i, c in enumerate(counters)}
-        try:
-            return [lookup[c] for c in self.counters]
-        except KeyError as exc:
-            raise FeatureMismatchError(f"missing counter {exc.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,7 @@ class TrainedClassifier:
 
     def scores(self, matrix, counters):
         """Malware scores for rows of `matrix` whose columns are `counters`."""
-        idx = self.view.column_indices(counters)
+        idx = column_indices(counters, self.view.counters)
         X = np.asarray(matrix, dtype=np.float64)[:, idx]
         if self.algo == "decision_tree":
             return self.model.scores(X)

@@ -46,6 +46,16 @@ def catalog_order(counters):
     return tuple(sorted(counters, key=CATALOG_INDEX.__getitem__))
 
 
+def column_indices(have, want):
+    """Positions of the counters `want` in the column order `have`. Raises
+    FeatureMismatchError naming the first counter `have` lacks."""
+    lookup = {c: i for i, c in enumerate(have)}
+    try:
+        return [lookup[c] for c in want]
+    except KeyError as exc:
+        raise FeatureMismatchError(f"lacks counter {exc.args[0]!r}") from None
+
+
 @dataclass(frozen=True)
 class HpcTrace:
     """Per-application matrix of counter readings, one row per sampling
@@ -131,13 +141,7 @@ class Dataset:
         counters = tuple(counters)
         if not self.traces:
             return np.empty((0, len(counters))), np.empty(0, dtype=np.int64)
-        lookup = {c: i for i, c in enumerate(self.counters)}
-        try:
-            idx = [lookup[c] for c in counters]
-        except KeyError as exc:
-            raise FeatureMismatchError(
-                f"app {self.traces[0].app_id!r} lacks counter {exc.args[0]!r}"
-            ) from None
+        idx = column_indices(self.counters, counters)
         X = np.concatenate([t.values[:, idx] for t in self.traces], dtype=np.float64)
         y = np.concatenate(
             [np.full(t.iterations, int(t.label == "malware")) for t in self.traces]

@@ -66,9 +66,14 @@ def report_line(num, name, ok):
 
 
 @pytest.fixture(scope="module")
-def mtd_results():
+def mtd_contexts():
     cfg = ExperimentConfig(recipe="mtd")
-    return {seed: _mtd_seed(SeedContext(cfg, seed)) for seed in cfg.seeds}
+    return [SeedContext(cfg, seed) for seed in cfg.seeds]
+
+
+@pytest.fixture(scope="module")
+def mtd_results(mtd_contexts):
+    return {ctx.seed: _mtd_seed(ctx) for ctx in mtd_contexts}
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +289,10 @@ def test_criterion_7_pool_size_trend_and_priority_identity(sweep_context):
     )
 
 
-def test_criterion_8_resilience():
-    cfg = ExperimentConfig(recipe="resilience")
-    rows_by_seed = [
-        _resilience_seed(SeedContext(cfg, seed))["levels"] for seed in cfg.seeds
-    ]
+def test_criterion_8_resilience(mtd_contexts):
+    # The resilience config differs from the mtd one only in `recipe`, which
+    # a SeedContext never reads, so the criterion 5 contexts serve here too.
+    rows_by_seed = [_resilience_seed(ctx)["levels"] for ctx in mtd_contexts]
     attacked = [
         float(np.mean([rows[i]["attacked_accuracy"] for rows in rows_by_seed]))
         for i in range(3)

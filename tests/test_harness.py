@@ -417,6 +417,10 @@ def test_cli_validate_config_rejects_too_many_classifiers(obj, tmp_path, capsys)
         {"max_inject": {"branch-mises": 5}},
         {"max_inject": {"cpu-cycles": 5}},
         {"recipe": "priority_sweep"},
+        {"hidden": 16},
+        {"sizes": 4},
+        {"extras": 0},
+        {"sweep_h_t": 20},
     ],
 )
 def test_cli_validate_config_rejects_what_run_rejects(obj, tmp_path, capsys):

@@ -31,7 +31,7 @@ from hmdlab.models import (
     reduced_error_prune,
     train_classifier,
 )
-from hmdlab.traces import Dataset
+from hmdlab.traces import Dataset, column_indices
 
 TWO = ("branch-misses", "instructions")
 
@@ -75,8 +75,8 @@ def test_view_standardize_roundtrip():
 
 def test_view_column_indices_mismatch():
     view = _identity_view(TWO)
-    with pytest.raises(FeatureMismatchError):
-        view.column_indices(("instructions",))
+    with pytest.raises(FeatureMismatchError, match="lacks counter 'branch-misses'"):
+        column_indices(("instructions",), view.counters)
 
 
 def test_view_rejects_nonpositive_sdev():
