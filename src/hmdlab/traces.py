@@ -4,6 +4,7 @@ perf-style CSV ingestion/export, and train/test splitting."""
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,27 +279,123 @@ def _csv_rows(fh):
         raise ParseError(f"file is not UTF-8: {exc.reason}") from None
 
 
+def _header_problem(header):
+    """Why the cells of a CSV header row are not a valid header, or None."""
+    if header[:3] != ["app_id", "label", "iteration"] or len(header) < 4:
+        return "header must be app_id,label,iteration,<hpc...>"
+    counters = header[3:]
+    for c in counters:
+        if c not in CATALOG_INDEX:
+            return f"unknown counter {c!r}"
+    if len(set(counters)) != len(counters):
+        return "duplicate counter column"
+    return None
+
+
 def parse_perf_csv(path):
-    """Ingest a perf-style CSV export into a Dataset (provenance=ingested)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Ingest a perf-style CSV export into a Dataset (provenance=ingested).
+
+    A vectorised parse runs first. A file it cannot vouch for is parsed row
+    by row instead, with the same result; only that parser raises
+    ParseError."""
+    parsed = _parse_fast(path)
+    return _parse_rows(path) if parsed is None else parsed
+
+
+# Characters that make the fast path hand a file to `_parse_rows`. Without
+# quotes, CR and NUL, csv.reader splits lines on "\n" and cells on ",".
+# np.loadtxt skips \x1c-\x1f as blanks around an integer where int() does
+# not; every other ASCII cell it reads as int64 int() reads the same.
+_ROW_PARSER_CHARS = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_fast(path):
+    """`_parse_rows(path)` read with np.loadtxt, or None where the two could
+    differ or `_parse_rows` would raise.
+
+    The file must be ASCII: np.loadtxt misreads some non-ASCII characters
+    as digits."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if not text.isascii() or any(c in text for c in _ROW_PARSER_CHARS):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or "" in lines:
+        return None
+    header, body = lines[0].split(","), lines[1:]
+    if _header_problem(header) is not None:
+        return None
+    counters = tuple(header[3:])
+    if not body:
+        return Dataset((), provenance="ingested")
+    # loadtxt fails on a row short of a used column, so the header's comma
+    # count on every line means no row has extra cells. The longest line
+    # bounds every cell, so it checks csv's field size limit, and it sets
+    # the width of every entry of the fixed-width name array: a line far
+    # longer than the rest would make that array far larger than the file.
+    longest = max(map(len, body))
+    if (text.count(",") != (len(header) - 1) * len(lines)
+            or longest > csv.field_size_limit()
+            or longest * len(lines) > 4 * len(text)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # older numpy reads "5.0" as the integer 5 and only warns
+            warnings.simplefilter("error", DeprecationWarning)
+            nums = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None,
+                              usecols=range(2, len(header)), ndmin=2)
+        names = np.loadtxt(body, dtype="S", delimiter=",", comments=None,
+                           usecols=(0, 1), ndmin=2)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+    if nums.shape != (len(body), len(header) - 2) or (nums < 0).any():
+        return None
+    malware = names[:, 1] == b"malware"
+    if not (malware | (names[:, 1] == b"benign")).all():
+        return None
+
+    ids, first, inverse, counts = np.unique(
+        names[:, 0], return_index=True, return_inverse=True, return_counts=True)
+    by_first = np.argsort(first)  # the apps in order of first appearance
+    # rows by app in that order, then by iteration
+    order = np.lexsort((nums[:, 0], first[inverse]))
+    sizes = counts[by_first]
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    malware = malware[order]
+    if not (np.array_equal(nums[order, 0], np.arange(len(body)) - starts)
+            and (malware == malware[starts]).all()):
+        return None
+    ends = np.cumsum(sizes)
+    traces = [
+        HpcTrace(app_id=app_id.decode(), label=LABELS[is_malware],
+                 counters=counters, values=values)
+        for app_id, is_malware, values in zip(
+            ids[by_first].tolist(), malware[ends - 1].tolist(),
+            np.split(nums[order, 1:], ends[:-1]))
+    ]
+    return Dataset(tuple(traces), provenance="ingested")
+
+
+def _parse_rows(path):
+    """`parse_perf_csv` one csv.reader row at a time, raising ParseError
+    with the line number of the first fault."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("missing header", line=1)
-        if header[:3] != ["app_id", "label", "iteration"] or len(header) < 4:
-            raise ParseError(
-                "header must be app_id,label,iteration,<hpc...>", line=1
-            )
+        problem = _header_problem(header)
+        if problem is not None:
+            raise ParseError(problem, line=1)
         counters = tuple(header[3:])
-        for c in counters:
-            if c not in CATALOG_INDEX:
-                raise ParseError(f"unknown counter {c!r}", line=1)
-        if len(set(counters)) != len(counters):
-            raise ParseError("duplicate counter column", line=1)
 
-        apps = {}  # app_id -> (label, {iteration: row values})
-        order = []
+        apps = {}  # app_id -> (label, {iteration: row values}, first line)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -330,9 +427,8 @@ def parse_perf_csv(path):
                     )
                 vals.append(v)
             if app_id not in apps:
-                apps[app_id] = (label, {})
-                order.append(app_id)
-            prev_label, rows = apps[app_id]
+                apps[app_id] = (label, {}, lineno)
+            prev_label, rows, _ = apps[app_id]
             if prev_label != label:
                 raise ParseError(
                     f"label for app {app_id!r} changed to {label!r}", line=lineno
@@ -345,12 +441,13 @@ def parse_perf_csv(path):
             rows[iteration] = vals
 
     traces = []
-    for app_id in order:
-        label, rows = apps[app_id]
-        expected = set(range(len(rows)))
-        if set(rows) != expected:
+    for app_id, (label, rows, first_line) in apps.items():
+        missing = next((i for i in range(len(rows)) if i not in rows), None)
+        if missing is not None:
             raise ParseError(
-                f"app {app_id!r} iterations are not contiguous from 0"
+                f"app {app_id!r} iterations are not contiguous from 0: "
+                f"iteration {missing} is missing",
+                line=first_line,
             )
         vals = np.array([rows[i] for i in range(len(rows))], dtype=np.int64)
         traces.append(

@@ -1,6 +1,8 @@
+import codecs
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace
@@ -14,8 +16,11 @@ from hmdlab.errors import (
 from hmdlab.traces import (
     CATALOG_INDEX,
     HPC_CATALOG,
+    LABELS,
     Dataset,
     HpcTrace,
+    _parse_fast,
+    _parse_rows,
     catalog_order,
     default_profile,
     generate_synthetic_dataset,
@@ -235,27 +240,172 @@ def test_parse_header_only(tmp_path):
     assert d.provenance == "ingested"
 
 
-@pytest.mark.parametrize(
-    "body",
-    [
-        "",  # no header at all
-        "who,what,when,instructions\na,benign,0,1\n",
-        "app_id,label,iteration,mystery-counter\na,benign,0,1\n",
-        "app_id,label,iteration,instructions\na,benign,0,ten\n",
-        "app_id,label,iteration,instructions\na,benign,zero,1\n",
-        "app_id,label,iteration,instructions\na,gray,0,1\n",
-        "app_id,label,iteration,instructions\na,benign,0,1\na,malware,1,1\n",
-        "app_id,label,iteration,instructions\na,benign,0,1\na,benign,0,2\n",
-        "app_id,label,iteration,instructions\na,benign,1,1\n",  # gap at 0
-        "app_id,label,iteration,instructions\na,benign,0,9223372036854775808\n",
-        b"app_id,label,iteration,instructions\na,benign,0,1\xff2\n",  # not UTF-8
-    ],
-)
+# Each malformed file and the line and text of the ParseError it raises.
+_MALFORMED = {
+    "": (1, "line 1: missing header"),  # no header at all
+    "who,what,when,instructions\na,benign,0,1\n": (
+        1, "line 1: header must be app_id,label,iteration,<hpc...>"),
+    "app_id,label,iteration,mystery-counter\na,benign,0,1\n": (
+        1, "line 1: unknown counter 'mystery-counter'"),
+    "app_id,label,iteration,instructions\na,benign,0,ten\n": (
+        2, "line 2: bad counter value 'ten'"),
+    "app_id,label,iteration,instructions\na,benign,zero,1\n": (
+        2, "line 2: bad iteration 'zero'"),
+    "app_id,label,iteration,instructions\na,gray,0,1\n": (
+        2, "line 2: bad label 'gray'"),
+    "app_id,label,iteration,instructions\na,benign,0,1\na,malware,1,1\n": (
+        3, "line 3: label for app 'a' changed to 'malware'"),
+    "app_id,label,iteration,instructions\na,benign,0,1\na,benign,0,2\n": (
+        3, "line 3: duplicate iteration 0 for app 'a'"),
+    "app_id,label,iteration,instructions\na,benign,1,1\n": (  # gap at 0
+        2, "line 2: app 'a' iterations are not contiguous from 0: "
+        "iteration 0 is missing"),
+    # gap at 1; the error cites the app's first row
+    "app_id,label,iteration,instructions\n"
+    "b,benign,0,1\na,benign,0,1\nb,benign,1,1\na,benign,2,1\n": (
+        3, "line 3: app 'a' iterations are not contiguous from 0: "
+        "iteration 1 is missing"),
+    "app_id,label,iteration,instructions\na,benign,0,9223372036854775808\n": (
+        2, "line 2: counter value 9223372036854775808 exceeds the 64-bit range"),
+    b"app_id,label,iteration,instructions\na,benign,0,1\xff2\n": (  # not UTF-8
+        None, "file is not UTF-8: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("body", list(_MALFORMED))
 def test_parse_rejects_malformed(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(body.encode() if isinstance(body, str) else body)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_perf_csv(path)
+    assert (exc.value.line, str(exc.value)) == _MALFORMED[body]
+
+
+def test_parse_reads_a_utf8_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with one
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("app_id,label,iteration,instructions\na,benign,0,10\n")
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    expected = parse_perf_csv(plain)
+    assert expected.traces == (make_trace("a", "benign", ("instructions",), [[10]]),)
+    assert _parse_rows(marked) == _parse_fast(marked) == expected
+
+
+def test_fast_parse_reads_an_interleaved_export(tmp_path, small_dataset):
+    # without this, a fast path that always declined would pass unnoticed
+    d = Dataset(small_dataset.traces[:3] + small_dataset.traces[-3:])
+    path = tmp_path / "x.csv"
+    write_perf_csv(d, path)
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    rows.sort(key=lambda row: int(row.split(b",")[2]))  # the apps take turns
+    path.write_bytes(header + b"".join(rows))
+    parsed = _parse_fast(path)
+    assert parsed is not None
+    assert parsed.traces == d.traces
+    assert parsed.provenance == "ingested"
+    for t in parsed.traces:
+        assert t.values.dtype == np.int64
+        assert not t.values.flags.writeable
+
+
+def test_fast_parse_leaves_one_very_long_line_to_the_row_parser(tmp_path):
+    # the name array is as wide as the longest app id on every row
+    path = tmp_path / "x.csv"
+    rows = [f"a,benign,{i},1\n" for i in range(20)] + ["b" * 5000 + ",malware,0,2\n"]
+    path.write_text("app_id,label,iteration,instructions\n" + "".join(rows))
+    assert _parse_fast(path) is None
+    assert [t.iterations for t in parse_perf_csv(path).traces] == [20, 1]
+
+
+_APP_IDS = ("a", "b", " a", "a b", "\u00e9")
+# Cells that int() and np.loadtxt could read differently, or not at all.
+# With numpy 2.4.6 on glibc, np.loadtxt reads "\ufd04" as the digit 64724.
+_ODD_CELLS = (
+    "", " ", " 5", "5 ", "+5", "-0", "-1", "007", "1_000", "\t3", "5.0",
+    "\u0663", "\uff15", "\u30004", "\ufd04", "\x1c5", "\x1f5",
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(2**64),
+)
+
+
+@st.composite
+def _perf_csv_bytes(draw):
+    """A valid CSV of interleaved apps, then a few edits that may break it
+    or leave it to the row parser: odd cells, labels, iterations, widths and
+    headers, quotes, CRLF, blank lines, a byte order mark, non-UTF-8 bytes."""
+    counters = draw(st.sampled_from([("instructions",), ("cpu-cycles", "page-faults")]))
+    header = ["app_id", "label", "iteration", *counters]
+    rows = []
+    for app_id in draw(st.permutations(_APP_IDS))[: 3 - draw(st.integers(0, 3))]:
+        label = draw(st.sampled_from(LABELS))
+        for it in range(draw(st.integers(1, 3))):
+            values = draw(st.lists(st.integers(0, 2**63 - 1),
+                                   min_size=len(counters), max_size=len(counters)))
+            rows.append([app_id, label, str(it), *map(str, values)])
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        edit = draw(st.sampled_from(
+            ["cell", "cell", "iteration", "app", "label", "quote", "width", "header"]))
+        if edit == "header":
+            i = draw(st.integers(0, len(header) - 1))
+            header[i] = draw(st.sampled_from(["app", "mystery", "instructions", ""]))
+            continue
+        if not rows:
+            continue
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if edit == "cell":
+            row[draw(st.integers(2, len(row) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        elif edit == "app":
+            row[0] = draw(st.sampled_from(_APP_IDS))
+        elif edit == "label":
+            row[1] = draw(st.sampled_from(["benign", "malware", "gray", "Benign"]))
+        elif edit == "iteration":
+            row[2] = str(draw(st.integers(0, 3)))
+        elif edit == "width":
+            row.append("1") if draw(st.booleans()) else row.pop()
+        else:
+            row[0] = f'"{row[0]}"'
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = len(lines) - draw(st.integers(0, len(lines)))  # rarely before the header
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    data = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode()
+    if draw(st.sampled_from([False, False, True])):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.sampled_from([False] * 5 + [True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + data[at:]
+    return data
+
+
+def _parse_result(parse, path):
+    """What `parse(path)` returns, or the line and text of its ParseError."""
+    try:
+        return parse(path)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+_HEADER = b"app_id,label,iteration,instructions\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_perf_csv_bytes())
+# the traps of a vectorised parse, each one certain to run
+@example(_HEADER + b"a,benign,0,\x1c5\n")  # blank to loadtxt, not to int()
+@example(_HEADER + "a,benign,0,\ufd04\n".encode())  # a loadtxt "digit"
+@example(_HEADER + b"a,benign,0,5,1\nb,benign,0,5\n")  # one extra cell
+@example(_HEADER + b"a,benign,0,5\nb,benign,0\n")  # one missing cell
+@example(_HEADER + b"a,benign,0,5\nb,malware,0,6\na,benign,1,7\n")  # interleaved
+@example(_HEADER + b"a,benign,1,5\na,benign,0,6\n")  # out of order
+@example(_HEADER + b'"a",benign,0,5\r\n\r\na,benign,1, +6 \n')
+def test_fast_parse_agrees_with_row_parse(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(data)
+    expected = _parse_result(_parse_rows, path)
+    assert _parse_result(parse_perf_csv, path) == expected
+    fast = _parse_fast(path)
+    assert fast is None or fast == expected
 
 
 @settings(max_examples=25, deadline=None)
