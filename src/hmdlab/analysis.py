@@ -102,8 +102,9 @@ def decimal_string(fraction, sig=6):
     if rounded >= 10**sig:
         rounded //= 10
         exp += 1
-    mantissa = rounded / 10 ** (sig - 1)
-    return f"{mantissa:.{sig - 1}f}e{exp:+03d}"
+    digits = str(rounded)
+    mantissa = f"{digits[0]}.{digits[1:]}" if sig > 1 else digits
+    return f"{mantissa}e{exp:+03d}"
 
 
 def _big_string(count):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import (
     DataError,
     OracleError,
     ShapeError,
-    UnsupportedModelError,
 )
 from .models import (
     FeatureView,
@@ -28,35 +27,35 @@ from .traces import INT64_MAX, Dataset, HpcTrace, column_indices
 
 # Injected events per loop of the generator also tick other counters; one
 # branch-miss costs a handful of instructions and branch instructions, one
-# LLC load miss costs a few instructions. Microarchitectural; the default of
-# `AttackBudget.coupling`, and the coupling of every flat load.
+# LLC load miss costs a few instructions. Microarchitectural, so fixed.
 DEFAULT_COUPLING = {
     "branch-misses": {"instructions": 6.0, "branch-instructions": 5.0},
     "LLC-load-misses": {"instructions": 3.0},
 }
 
 
+def _coupled(counter, events):
+    """Events by counter that injecting `events` on `counter` writes."""
+    out = {counter: int(events)}
+    for side, coef in DEFAULT_COUPLING[counter].items():
+        out[side] = int(round(coef * events))
+    return out
+
+
 @dataclass(frozen=True)
 class AttackBudget:
     epsilon: float = 1.0
-    controllable: tuple = ("branch-misses", "LLC-load-misses")
-    coupling: dict = field(default_factory=lambda: dict(DEFAULT_COUPLING))
     max_inject: dict | None = None  # counter -> cap
+
+    # The counters the adversary's gadgets drive, and what they also tick.
+    controllable = ("branch-misses", "LLC-load-misses")
+    coupling = DEFAULT_COUPLING
 
     def __post_init__(self):
         if not 0 < self.epsilon <= 1:
             raise ConfigurationError("epsilon must be in (0, 1]")
-        for c, side in self.coupling.items():
-            for name, coef in side.items():
-                if not math.isfinite(coef) or coef < 0:
-                    raise ConfigurationError(
-                        f"coupling {c!r}->{name!r} must be finite and >= 0"
-                    )
-        # A cap applies only to a counter a perturbation writes: a
-        # controllable counter or a side counter its injection ticks.
-        cappable = set(self.controllable).union(
-            *(self.coupling.get(c, {}) for c in self.controllable)
-        )
+        # A cap applies only to a counter a perturbation writes.
+        cappable = set().union(*(_coupled(c, 1) for c in self.controllable))
         for c, cap in (self.max_inject or {}).items():
             if c not in cappable:
                 raise ConfigurationError(
@@ -109,12 +108,12 @@ class SurrogateReport:
     agreement: float  # victim-label agreement on held-out probes
 
 
-def reverse_engineer(victim, probe, seed, counters=None, network_params=None):
+def reverse_engineer(victim, probe, seed, counters, network_params=None):
     """Train a network surrogate on black-box victim labels over a 70/30
     app-level probe split; report its held-out agreement with the victim."""
     if len(probe.traces) < 2:
         raise ConfigurationError("probe needs at least 2 apps")
-    counters = tuple(counters) if counters else probe.counters
+    counters = tuple(counters)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(probe.traces))
@@ -145,8 +144,6 @@ def craft_perturbation(surrogate, trace, budget):
     Step order is fixed: sign step scaled by the per-counter training sdev,
     positivity mask on controllable counters, integer ceil, coupling, cap.
     """
-    if surrogate.algo != "neural_network":
-        raise UnsupportedModelError("perturbation prediction needs a network surrogate")
     if trace.label != "malware":
         raise ConfigurationError("only malware traces are camouflaged")
     view = surrogate.view
@@ -162,9 +159,8 @@ def craft_perturbation(surrogate, trace, budget):
         if not hit.any():
             continue
         d = int(math.ceil(budget.epsilon * view.sdevs[j]))
-        deltas[c] = deltas.get(c, 0) + np.where(hit, d, 0)
-        for side, coef in budget.coupling.get(c, {}).items():
-            deltas[side] = deltas.get(side, 0) + np.where(hit, int(round(coef * d)), 0)
+        for name, v in _coupled(c, d).items():
+            deltas[name] = deltas.get(name, 0) + np.where(hit, v, 0)
 
     if budget.max_inject:
         for c, cap in budget.max_inject.items():
@@ -179,7 +175,7 @@ def inject(trace, p):
         raise ShapeError(
             f"perturbation has {p.n_rows} rows, trace has {trace.iterations}"
         )
-    values = trace.values.astype(np.int64).copy()
+    values = trace.values.astype(np.int64)
     for c, arr in p.deltas.items():
         if c not in trace.counters:
             raise ShapeError(f"trace lacks counter {c!r}")
@@ -200,9 +196,7 @@ def flat_injection(extra_branch_misses):
     the default coupling; None when one exceeds half the counter range."""
     if extra_branch_misses < 0:
         raise ConfigurationError("extra branch-misses must be >= 0")
-    extra = {"branch-misses": int(extra_branch_misses)}
-    for side, coef in DEFAULT_COUPLING["branch-misses"].items():
-        extra[side] = extra.get(side, 0) + int(round(coef * extra_branch_misses))
+    extra = _coupled("branch-misses", extra_branch_misses)
     return None if any(v > INT64_MAX // 2 for v in extra.values()) else extra
 
 

@@ -67,9 +67,6 @@ def _config_from_args(args):
         for name, value in vars(args).items()
         if name in ExperimentConfig.__dataclass_fields__ and value is not None
     }
-    out_dir = args.out or os.environ.get("HMDLAB_OUT") or cfg.out_dir
-    if out_dir:
-        overrides["out_dir"] = out_dir
     return replace(cfg, **overrides)
 
 
@@ -77,10 +74,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _config_from_args(args)
-            report = run(cfg)
-            if cfg.out_dir:
-                print(write_report(report, cfg.out_dir))
+            report = run(_config_from_args(args))
+            out_dir = args.out or os.environ.get("HMDLAB_OUT")
+            if out_dir:
+                print(write_report(report, out_dir))
             else:
                 json.dump(report, sys.stdout, indent=2, sort_keys=True)
                 print()

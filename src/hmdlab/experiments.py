@@ -70,7 +70,6 @@ class ExperimentConfig:
     recipe: str = "baseline"
     seeds: tuple = (7, 8, 9, 10, 11)
     csv_path: str | None = None
-    out_dir: str | None = None
     # dataset
     n_benign: int = 300
     n_malware: int = 300
@@ -106,8 +105,7 @@ class ExperimentConfig:
         self._check("recipe", isinstance(self.recipe, str) and self.recipe in RECIPES)
         self._check("seeds", len(self.seeds) > 0 and _ints(self.seeds, 0)
                     and len(set(self.seeds)) == len(self.seeds))
-        for name in ("csv_path", "out_dir"):
-            self._check(name, isinstance(getattr(self, name), (str, type(None))))
+        self._check("csv_path", isinstance(self.csv_path, (str, type(None))))
         for name in ("n_benign", "n_malware", "n_test_per_class", "iterations",
                      "probe_per_class", "max_depth", "min_leaf", "epochs",
                      "importance_trees"):
@@ -441,16 +439,10 @@ def run(cfg):
         "tool": "hmdlab",
         "version": __version__,
         "recipe": cfg.recipe,
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "results": results,
         "wall_clock_s": time.time() - start,
     }
-
-
-def _config_echo(cfg):
-    obj = asdict(cfg)
-    obj.pop("out_dir", None)
-    return obj
 
 
 def write_report(report, out_dir):

@@ -18,12 +18,9 @@ from .errors import ConfigurationError, DegenerateDataError, GroupingError
 from .models import grow_cart
 from .traces import CATALOG_INDEX, catalog_order
 
-DEFAULT_CORR_THRESHOLD = 0.5
-
 
 @dataclass(frozen=True)
 class FeatureScores:
-    method: str  # "univariate_chi2" | "tree_importance"
     scores: dict  # counter -> non-negative float
     k_selected: int | None = None
 
@@ -71,7 +68,6 @@ def univariate_select_k_best(train, k):
         chi2 = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
     scores = chi2.sum(axis=0)
     return FeatureScores(
-        method="univariate_chi2",
         scores={c: float(s) for c, s in zip(counters, scores)},
         k_selected=k,
     )
@@ -105,7 +101,6 @@ def feature_importance_scores(train, n_trees=25, seed=0):
     if total > 0:
         totals = totals / total
     return FeatureScores(
-        method="tree_importance",
         scores={c: float(s) for c, s in zip(counters, totals)},
     )
 
@@ -136,14 +131,7 @@ def _combined_ranks(chi2, imp):
     return {c: 0.5 * (pos_chi2[c] + pos_imp[c]) for c in counters}
 
 
-def propose_hpc_groups(
-    chi2,
-    imp,
-    corr,
-    n_groups,
-    r_max,
-    corr_threshold=DEFAULT_CORR_THRESHOLD,
-):
+def propose_hpc_groups(chi2, imp, corr, n_groups, r_max, corr_threshold):
     """Greedy disjoint grouping of counters for the defense pool.
 
     Repeatedly seeds a group with the best-ranked unused counter and grows it

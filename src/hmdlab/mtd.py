@@ -57,10 +57,10 @@ class ClassifierSelector:
         self.best_index = pool.best_index
         self.lfsr = lfsr_from_seed(pool.seed)
 
-    def _uniform(self, n, skip=None):
-        """Exactly uniform draw over n choices (optionally skipping one pool
+    def _uniform(self, skip=None):
+        """Exactly uniform draw over the pool (optionally skipping one
         index) by rejection sampling on the LFSR output."""
-        choices = n if skip is None else n - 1
+        choices = self.n if skip is None else self.n - 1
         limit = choices * (LFSR_PERIOD // choices)
         while True:
             self.lfsr, out = self.lfsr.next()
@@ -73,11 +73,11 @@ class ClassifierSelector:
 
     def select(self, tick):
         if self.policy == "uniform":
-            return self._uniform(self.n)
+            return self._uniform()
         # priority: best classifier every other run, uniform over the rest
         if tick % 2 == 0:
             return self.best_index
-        return self._uniform(self.n, skip=self.best_index)
+        return self._uniform(skip=self.best_index)
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ class _SyntheticProfile:
     malware_log_mean: np.ndarray  # (20,)
     log_sdev: np.ndarray  # (20,) idiosyncratic, > 0
     loadings: np.ndarray  # (20, n_factors)
-    iterations: int = 20
+    iterations: int
 
 
 # Per-counter (benign log-mean, malware shift, idiosyncratic log-sdev,
@@ -272,11 +272,15 @@ def write_perf_csv(d, path):
 
 
 def _csv_rows(fh):
-    """CSV rows of a text file; ParseError if its bytes are not UTF-8."""
+    """CSV rows of a text file; ParseError if its bytes are not UTF-8 or
+    the csv module rejects a row."""
+    reader = csv.reader(fh)
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except UnicodeDecodeError as exc:
         raise ParseError(f"file is not UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def _header_problem(header):

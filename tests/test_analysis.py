@@ -79,6 +79,11 @@ def test_decimal_string_rendering():
     assert decimal_string(Fraction(1, 4)) == "2.50000e-01"
     assert decimal_string(Fraction(1, 3), sig=4) == "3.333e-01"
     assert decimal_string(Fraction(999999999, 10**9)) == "1.00000e+00"  # rounds up
+    # exact past float precision, and no point with one significant digit
+    assert decimal_string(Fraction(1, 3), sig=17) == "3.3333333333333333e-01"
+    assert decimal_string(Fraction(1, 3), sig=20) == "3.3333333333333333333e-01"
+    assert decimal_string(Fraction(2, 3), sig=1) == "7e-01"
+    assert decimal_string(Fraction(1), sig=1) == "1e+00"
     rendered = decimal_string(Fraction(1, 125970), sig=12)
     assert abs(float(rendered) - 7.93839e-6) < 1e-11
     with pytest.raises(DomainError):

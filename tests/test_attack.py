@@ -67,8 +67,11 @@ def test_budget_validation():
         AttackBudget(epsilon=0.0)
     with pytest.raises(ConfigurationError):
         AttackBudget(epsilon=1.5)
-    with pytest.raises(ConfigurationError):
+    # the controllable counters and their coupling are fixed, not settable
+    with pytest.raises(TypeError):
         AttackBudget(coupling={"branch-misses": {"instructions": -1.0}})
+    assert AttackBudget().coupling == DEFAULT_COUPLING
+    assert AttackBudget().controllable == ("branch-misses", "LLC-load-misses")
 
 
 @pytest.mark.parametrize(
@@ -92,9 +95,6 @@ def test_budget_caps_every_counter_a_perturbation_writes():
     caps = {c: 0 for c in ("branch-misses", "LLC-load-misses")}
     caps.update({"instructions": 2.5, "branch-instructions": np.int64(3)})
     assert AttackBudget(max_inject=caps).max_inject == caps
-    # the writable set follows the budget's own coupling
-    with pytest.raises(ConfigurationError):
-        AttackBudget(coupling={}, max_inject={"instructions": 1})
 
 
 def test_perturbation_rejects_negative_and_misshapen():
@@ -137,7 +137,7 @@ def test_reverse_engineer_boundaries():
     one_app = Dataset(probe.traces[:1])
     oracle = lambda X, counters: np.zeros(len(X), dtype=np.int64)
     with pytest.raises(ConfigurationError):
-        reverse_engineer(oracle, one_app, seed=0)
+        reverse_engineer(oracle, one_app, seed=0, counters=ATTACK_HPCS)
 
 
 def test_reverse_engineer_wraps_oracle_failure():
@@ -147,7 +147,7 @@ def test_reverse_engineer_wraps_oracle_failure():
         raise RuntimeError("victim offline")
 
     with pytest.raises(OracleError):
-        reverse_engineer(broken, probe, seed=0)
+        reverse_engineer(broken, probe, seed=0, counters=ATTACK_HPCS)
 
 
 # ---------------------------------------------------------------------------

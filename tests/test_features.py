@@ -42,7 +42,6 @@ def test_chi2_matches_hand_computation():
     fs = univariate_select_k_best(d, 1)
     assert fs.scores["branch-misses"] == pytest.approx(10.0)
     assert fs.scores["instructions"] == pytest.approx(0.0)
-    assert fs.method == "univariate_chi2"
 
 
 def test_chi2_k_bounds(small_dataset):
@@ -78,7 +77,6 @@ def _threshold_dataset(seed=0, n=60):
 def test_importance_finds_the_signal_counter():
     fs = feature_importance_scores(_threshold_dataset(), n_trees=15, seed=1)
     assert fs.scores["branch-misses"] > 0.5
-    assert fs.method == "tree_importance"
 
 
 def test_importance_zero_for_constant_column():
@@ -143,16 +141,13 @@ def test_correlation_zero_variance_column():
 
 def test_ranked_breaks_ties_by_catalog_order():
     fs = FeatureScores(
-        method="univariate_chi2",
         scores={"instructions": 1.0, "branch-misses": 1.0, "cpu-cycles": 2.0},
     )
     assert fs.ranked() == ["cpu-cycles", "branch-misses", "instructions"]
 
 
 def _toy_scores(counters, values):
-    return FeatureScores(
-        method="univariate_chi2", scores=dict(zip(counters, values))
-    )
+    return FeatureScores(scores=dict(zip(counters, values)))
 
 
 def test_grouping_greedy_toy_matrix():
@@ -169,7 +164,7 @@ def test_grouping_greedy_toy_matrix():
     chi2 = _toy_scores(counters, [4.0, 3.0, 2.0, 1.0])
     imp = _toy_scores(counters, [0.4, 0.3, 0.2, 0.1])
     corr = CorrelationMatrix(counters=counters, r=r)
-    g = propose_hpc_groups(chi2, imp, corr, n_groups=2, r_max=4)
+    g = propose_hpc_groups(chi2, imp, corr, n_groups=2, r_max=4, corr_threshold=0.5)
     assert g.groups[0] == ("branch-instructions", "branch-misses", "bus-cycles")
     assert g.groups[1] == ("cache-misses",)
 
@@ -178,7 +173,7 @@ def test_grouping_singletons_cover_catalog(small_dataset):
     chi2 = univariate_select_k_best(small_dataset, 20)
     imp = feature_importance_scores(small_dataset, n_trees=5, seed=0)
     corr = correlation_matrix(small_dataset)
-    g = propose_hpc_groups(chi2, imp, corr, n_groups=20, r_max=1)
+    g = propose_hpc_groups(chi2, imp, corr, n_groups=20, r_max=1, corr_threshold=0.5)
     assert len(g.groups) == 20
     assert all(len(grp) == 1 for grp in g.groups)
     assert {c for grp in g.groups for c in grp} == set(HPC_CATALOG)
@@ -189,14 +184,14 @@ def test_grouping_pigeonhole(small_dataset):
     imp = feature_importance_scores(small_dataset, n_trees=5, seed=0)
     corr = correlation_matrix(small_dataset)
     with pytest.raises(GroupingError):
-        propose_hpc_groups(chi2, imp, corr, n_groups=21, r_max=1)
+        propose_hpc_groups(chi2, imp, corr, n_groups=21, r_max=1, corr_threshold=0.5)
 
 
 def test_grouping_disjoint_and_sized(small_dataset):
     chi2 = univariate_select_k_best(small_dataset, 20)
     imp = feature_importance_scores(small_dataset, n_trees=5, seed=0)
     corr = correlation_matrix(small_dataset)
-    g = propose_hpc_groups(chi2, imp, corr, n_groups=5, r_max=4)
+    g = propose_hpc_groups(chi2, imp, corr, n_groups=5, r_max=4, corr_threshold=0.5)
     seen = set()
     for grp in g.groups:
         assert 1 <= len(grp) <= 4

@@ -280,6 +280,15 @@ def test_cli_env_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "report-combinatorics.json").exists()
 
 
+def test_cli_out_flag_wins_over_env_out_dir(tmp_path, monkeypatch, capsys):
+    env_dir, flag_dir = tmp_path / "env", tmp_path / "flag"
+    monkeypatch.setenv("HMDLAB_OUT", str(env_dir))
+    assert main(["run", "combinatorics", "--out", str(flag_dir)]) == 0
+    assert capsys.readouterr().out.strip() == str(flag_dir / "report-combinatorics.json")
+    assert (flag_dir / "report-combinatorics.json").exists()
+    assert not env_dir.exists()
+
+
 def test_cli_stdout_when_no_out_dir(capsys, monkeypatch):
     monkeypatch.delenv("HMDLAB_OUT", raising=False)
     rc = main(["run", "combinatorics"])
@@ -345,6 +354,16 @@ def test_cli_run_rejects_csv_missing_a_counter(tmp_path, capsys):
     argv = ["run", "baseline", "--csv", str(path), "--n-test", "1", "--seed", "1"]
     assert main(argv) == 2
     assert "lacks counter" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_csv_cell_over_the_field_limit(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "app_id,label,iteration,instructions\n" + "a" * 200_000 + ",benign,0,1\n"
+    )
+    argv = ["run", "baseline", "--csv", str(path), "--n-test", "1", "--seed", "1"]
+    assert main(argv) == 2
+    assert "error: line 2:" in capsys.readouterr().err
 
 
 def test_cli_run_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
@@ -421,6 +440,7 @@ def test_cli_validate_config_rejects_too_many_classifiers(obj, tmp_path, capsys)
         {"sizes": 4},
         {"extras": 0},
         {"sweep_h_t": 20},
+        {"out_dir": "out"},  # the directory comes from --out or HMDLAB_OUT
     ],
 )
 def test_cli_validate_config_rejects_what_run_rejects(obj, tmp_path, capsys):

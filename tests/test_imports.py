@@ -71,3 +71,25 @@ def test_unread_private_names_flags_orphans():
         "def public():\n    return _USED + _Helper()\n"
     )
     assert unread_private_names(source) == ["_ORPHAN", "_recursive"]
+
+
+def raised_names(source):
+    """Names that `raise` statements of the source raise, called or not."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name != "HmdlabError"
+    }
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert sorted(classes - raised) == []

@@ -232,6 +232,17 @@ def test_parse_negative_value_cites_line(tmp_path):
     assert exc.value.line == 3
 
 
+def test_parse_cell_over_the_csv_field_limit_cites_line(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text(
+        "app_id,label,iteration,instructions\n"
+        + "a" * 200_000 + ",benign,0,10\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_perf_csv(path)
+    assert exc.value.line == 2
+
+
 def test_parse_header_only(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("app_id,label,iteration,instructions\n")
