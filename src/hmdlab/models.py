@@ -236,7 +236,7 @@ class Network:
         """Fill workspace `ws` with the hidden activations and the scores
         (1, n) of its rows; return the scores."""
         for i, (W, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            a = ws.acts[i + 1] = np.matmul(W, ws.acts[i], out=ws.acts[i + 1])
+            a = ws.acts[i + 1] = _product(W, ws.acts[i], out=ws.acts[i + 1])
             a += b[:, None]
             np.maximum(a, 0.0, out=a)
         s = ws.scores = np.matmul(self.weights[-1], ws.acts[-1], out=ws.scores)
@@ -254,9 +254,7 @@ class Network:
         deltas, masks = ws.deltas, ws.masks
         for i in range(len(self.weights) - 1, 0, -1):
             W = self.weights[i]
-            # With one row in W, each entry of W.T @ delta is one exact product.
-            product = np.multiply if len(W) == 1 else np.matmul
-            deltas[i - 1] = product(W.T, deltas[i], out=deltas[i - 1])
+            deltas[i - 1] = _product(W.T, deltas[i], out=deltas[i - 1])
             # A ReLU unit's output is positive exactly where its input is.
             masks[i - 1] = np.greater(ws.acts[i], 0.0, out=masks[i - 1])
             deltas[i - 1] *= masks[i - 1]
@@ -287,6 +285,14 @@ class Network:
         ws.deltas[-1] = self._forward(ws) - y
         self._backward(ws)
         return (self.weights[0].T @ ws.deltas[0]).T
+
+
+def _product(A, B, out):
+    """A @ B into `out`. With one column in A, each entry of A @ B is one
+    exact product, which a broadcast multiply computes faster; it keeps the
+    sign of a zero product, where matmul gives +0.0."""
+    product = np.multiply if A.shape[1] == 1 else np.matmul
+    return product(A, B, out=out)
 
 
 class _Workspace:

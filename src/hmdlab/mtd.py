@@ -4,6 +4,7 @@ LFSR (uniform or best-classifier-priority policy)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,36 +49,103 @@ def lfsr_from_seed(seed):
     return Lfsr(state if state else 1)
 
 
+@functools.cache
+def _orbit():
+    """(orbit, position): orbit[k] is the LFSR state k steps after state 1,
+    and position[state] is that k. Built on first use, not at import.
+
+    Step k shifts in bit b[k + 16], where b[0:16] are state 1's bits from
+    the top and b[m] is the XOR of b[m - tap] over the taps. Over GF(2) the
+    tap polynomial squared has the same taps at twice the lags, so the same
+    recurrence holds with every lag times any power of two M: each vector
+    step writes 4 * M bits, and M doubles once 32 * M bits are known.
+    """
+    n = LFSR_PERIOD + LFSR_WIDTH - 1
+    bits = np.zeros(n, np.uint16)
+    bits[LFSR_WIDTH - 1] = 1  # state 1
+    filled, M = LFSR_WIDTH, 1
+    while filled < n:
+        if filled >= 2 * LFSR_WIDTH * M:
+            M *= 2
+        stop = min(filled + min(LFSR_TAPS) * M, n)
+        for tap in LFSR_TAPS:
+            bits[filled:stop] ^= bits[filled - tap * M : stop - tap * M]
+        filled = stop
+    orbit = bits[:LFSR_PERIOD].copy()
+    for j in range(1, LFSR_WIDTH):  # state k is b[k] .. b[k + 15], top bit first
+        orbit <<= 1
+        orbit |= bits[j : LFSR_PERIOD + j]
+    position = np.zeros(1 << LFSR_WIDTH, np.uint16)
+    position[orbit] = np.arange(LFSR_PERIOD, dtype=np.uint16)
+    orbit.flags.writeable = position.flags.writeable = False  # shared by every caller
+    return orbit, position
+
+
+def _draws(at, count, choices, skip):
+    """The next `count` exactly uniform draws over range(choices), each
+    shifted up by one from index `skip` on, from the LFSR outputs after
+    orbit index `at`; also the orbit index of the last output read.
+
+    Rejection sampling: out - 1 runs over 0 .. 2^16 - 2 once per period
+    and is kept iff it is below `limit`, the largest multiple of `choices`
+    that fits, so (out - 1) % choices is exactly uniform. Each pass reads
+    only as many outputs as draws are still missing, so no output past the
+    last kept one is read.
+    """
+    orbit = _orbit()[0]
+    limit = choices * (LFSR_PERIOD // choices)
+    kept, missing = [np.empty(0, orbit.dtype)], count
+    while missing > 0:
+        u = np.take(orbit, np.arange(at + 1, at + 1 + missing), mode="wrap") - 1
+        at = (at + missing) % LFSR_PERIOD
+        kept.append(u[u < limit] % choices)
+        missing -= len(kept[-1])
+    draws = np.concatenate(kept, dtype=np.int64)
+    draws += draws >= skip
+    return draws, at
+
+
+def _draw_rule(pool):
+    """(start, choices, skip) of the pool's draws: uniform draws over every
+    member; priority draws over the members other than the best."""
+    start = int(_orbit()[1][lfsr_from_seed(pool.seed).state])
+    n = len(pool.classifiers)
+    if pool.policy == "uniform":
+        return start, n, n  # no draw reaches index n
+    return start, n - 1, pool.best_index
+
+
+def select_stream(pool, count):
+    """The picks of ticks 0 .. count - 1 in one pass, equal to
+    [ClassifierSelector(pool).select(t) for t in range(count)]."""
+    start, choices, skip = _draw_rule(pool)
+    if pool.policy == "uniform":
+        return _draws(start, count, choices, skip)[0]
+    picks = np.full(count, pool.best_index)
+    picks[1::2] = _draws(start, count // 2, choices, skip)[0]
+    return picks
+
+
 class ClassifierSelector:
-    """Stateful selection stream over a pool; owns a private LFSR copy."""
+    """Stateful per-tick selection over a pool. A tick that draws takes the
+    pool's next draw; draws are read from the LFSR orbit 1,024 at a time."""
 
     def __init__(self, pool):
-        self.n = len(pool.classifiers)
         self.policy = pool.policy
         self.best_index = pool.best_index
-        self.lfsr = lfsr_from_seed(pool.seed)
+        self._draws = self._stream(*_draw_rule(pool))
 
-    def _uniform(self, skip=None):
-        """Exactly uniform draw over the pool (optionally skipping one
-        index) by rejection sampling on the LFSR output."""
-        choices = self.n if skip is None else self.n - 1
-        limit = choices * (LFSR_PERIOD // choices)
+    @staticmethod
+    def _stream(at, choices, skip):
         while True:
-            self.lfsr, out = self.lfsr.next()
-            u = out - 1  # uniform over 0 .. 2^16 - 2
-            if u < limit:
-                idx = u % choices
-                if skip is not None and idx >= skip:
-                    idx += 1
-                return idx
+            draws, at = _draws(at, 1024, choices, skip)
+            yield from draws.tolist()
 
     def select(self, tick):
-        if self.policy == "uniform":
-            return self._uniform()
         # priority: best classifier every other run, uniform over the rest
-        if tick % 2 == 0:
+        if self.policy == "priority" and tick % 2 == 0:
             return self.best_index
-        return self._uniform(skip=self.best_index)
+        return next(self._draws)
 
 
 @dataclass(frozen=True)
@@ -168,12 +236,9 @@ def classify_stream(pool, test):
     member_labels = np.vstack(
         [m.predict_labels(X, test.counters) for m in pool.classifiers]
     )
-    selector = ClassifierSelector(pool)
-    chosen = np.array([selector.select(t) for t in range(len(y))])
+    chosen = select_stream(pool, len(y))
     predicted = member_labels[chosen, np.arange(len(y))]
-    histogram = tuple(
-        int((chosen == i).sum()) for i in range(len(pool.classifiers))
-    )
+    histogram = tuple(np.bincount(chosen, minlength=len(pool.classifiers)).tolist())
     passes = int((predicted == y).sum())
     return MtdRunReport(
         chosen=chosen,

@@ -144,8 +144,9 @@ class Dataset:
             return np.empty((0, len(counters))), np.empty(0, dtype=np.int64)
         idx = column_indices(self.counters, counters)
         X = np.concatenate([t.values[:, idx] for t in self.traces], dtype=np.float64)
-        y = np.concatenate(
-            [np.full(t.iterations, int(t.label == "malware")) for t in self.traces]
+        y = np.repeat(
+            np.array([t.label == "malware" for t in self.traces], np.int64),
+            [t.iterations for t in self.traces],
         )
         return X, y
 

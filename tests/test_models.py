@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_trace, stump, two_class_dataset
+from hmdlab import models
 from hmdlab.errors import (
     ConfigurationError,
     DataError,
@@ -391,6 +392,33 @@ def test_network_train_is_bit_identical_to_the_reference_epoch(hidden, d, n):
     net.train(Xs, y, epochs=40, lr=0.5)
     for got, want in zip(net.weights + net.biases, weights + biases):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 10_000])
+def test_one_column_product_matches_matmul_bits(n):
+    # The first layer of a one-input network: (16, 1) weights on (1, n) rows.
+    rng = np.random.default_rng(n)
+    W = rng.uniform(-1.0, 1.0, size=(16, 1))
+    rows = rng.normal(size=(n, 1))
+    for B in (rows.T, np.ascontiguousarray(rows.T)):
+        assert models._product(W, B, None).tobytes() == np.matmul(W, B).tobytes()
+    # A zero row gives a signed zero product where matmul gives +0.0; the
+    # layer's bias add, with a bias that is never -0.0, makes the bits agree.
+    rows[: (n + 1) // 2] = 0.0
+    b = np.concatenate([np.zeros(8), rng.normal(size=8)])[:, None]
+    got = models._product(W, rows.T, None) + b
+    assert got.tobytes() == (np.matmul(W, rows.T) + b).tobytes()
+
+
+def test_one_input_fit_matches_the_matmul_fit_bits(small_dataset, monkeypatch):
+    X, y = small_dataset.stack(("branch-misses",))
+    view = FeatureView.from_rows(("branch-misses",), X)
+    fast = fit_network_arrays(X, y, view, seed=5, epochs=60)
+    monkeypatch.setattr(models, "_product", lambda A, B, out: np.matmul(A, B, out=out))
+    slow = fit_network_arrays(X, y, view, seed=5, epochs=60)
+    for got, want in zip(fast.model.weights + fast.model.biases,
+                         slow.model.weights + slow.model.biases):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_network_fit_keeps_no_reference_to_its_rows():

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import hmdlab
 from conftest import make_trace, stump
 from hmdlab.errors import ConfigurationError, EmptyEvaluationError
 from hmdlab.mtd import (
@@ -8,10 +15,12 @@ from hmdlab.mtd import (
     ClassifierSelector,
     Lfsr,
     MtdPool,
+    _orbit,
     classify_stream,
     design_pool,
     evaluate_pool_sweep,
     lfsr_from_seed,
+    select_stream,
 )
 from hmdlab.traces import Dataset, default_profile, generate_synthetic_dataset
 
@@ -53,6 +62,24 @@ def test_lfsr_seed_mapping():
         Lfsr(0)
     with pytest.raises(ConfigurationError):
         Lfsr(1 << 16)
+
+
+def test_orbit_is_the_lfsr_state_sequence():
+    orbit, position = _orbit()
+    lfsr, states = Lfsr(1), [1]
+    for _ in range(LFSR_PERIOD - 1):
+        lfsr, out = lfsr.next()
+        states.append(out)
+    assert orbit.tolist() == states
+    assert np.array_equal(position[orbit], np.arange(LFSR_PERIOD))
+
+
+def test_import_does_not_build_the_orbit():
+    code = "import hmdlab.mtd as m; print(m._orbit.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(hmdlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +152,54 @@ def test_selection_deterministic_per_seed():
     a = ClassifierSelector(_pool(members, seed=42))
     b = ClassifierSelector(_pool(members, seed=42))
     assert [a.select(t) for t in range(500)] == [b.select(t) for t in range(500)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20])
+@pytest.mark.parametrize("policy", ["uniform", "priority"])
+def test_select_stream_matches_the_per_tick_selector(n, policy):
+    counts = (0, 1, 2, 3, 50, 70_001)  # 70,001 picks read past one period
+    for best_index in (0, n - 1):
+        for seed in (0, 1, 2, 7, 65535, 65536):
+            pool = SimpleNamespace(classifiers=tuple(range(n)), policy=policy,
+                                   best_index=best_index, seed=seed)
+            sel = ClassifierSelector(pool)
+            ticks = np.array([sel.select(t) for t in range(max(counts))])
+            for count in counts:
+                picks = select_stream(pool, count)
+                assert picks.dtype == np.int64
+                assert np.array_equal(picks, ticks[:count])
+
+
+def _stepped_picks(pool, count):
+    """Picks of ticks 0 .. count - 1 by stepping an Lfsr one output at a
+    time through the rejection rule: the reference the orbit must match."""
+    n, best = len(pool.classifiers), pool.best_index
+    lfsr = lfsr_from_seed(pool.seed)
+    picks = []
+    for tick in range(count):
+        if pool.policy == "priority" and tick % 2 == 0:
+            picks.append(best)
+            continue
+        choices = n if pool.policy == "uniform" else n - 1
+        while True:
+            lfsr, out = lfsr.next()
+            if out - 1 < choices * (LFSR_PERIOD // choices):
+                idx = (out - 1) % choices
+                picks.append(idx + (pool.policy == "priority" and idx >= best))
+                break
+    return picks
+
+
+@pytest.mark.parametrize("n, policy, best_index, seed, count", [
+    *[(n, p, b, s, 300) for n in (2, 3, 5, 20) for p in ("uniform", "priority")
+      for b in (0, n - 1) for s in (0, 7, 65535)],
+    (3, "uniform", 0, 65535, 70_001),
+    (20, "priority", 19, 2, 140_003),
+])
+def test_select_stream_matches_stepping_the_lfsr(n, policy, best_index, seed, count):
+    pool = SimpleNamespace(classifiers=tuple(range(n)), policy=policy,
+                           best_index=best_index, seed=seed)
+    assert select_stream(pool, count).tolist() == _stepped_picks(pool, count)
 
 
 # ---------------------------------------------------------------------------

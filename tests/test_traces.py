@@ -164,6 +164,21 @@ def test_stack_matches_per_trace_stack(small_dataset, n_apps, counters):
         assert got.flags == ref.flags
 
 
+def test_stack_labels_of_mixed_lengths_and_labels_match_per_trace_labels():
+    rng = np.random.default_rng(4)
+    counters = ("instructions", "branch-misses")
+    ds = Dataset(tuple(
+        make_trace(f"a{i}", label, counters, rng.integers(0, 99, size=(n, 2)))
+        for i, (label, n) in enumerate(
+            [("malware", 3), ("benign", 1), ("benign", 7), ("malware", 1),
+             ("malware", 2), ("benign", 4)])
+    ))
+    _, y = ds.stack(counters)
+    _, y_ref = _stack_per_trace(ds, counters)
+    assert y.dtype == y_ref.dtype == np.int64
+    assert y.tobytes() == y_ref.tobytes()
+
+
 def test_stack_missing_counter_raises_feature_mismatch():
     d = Dataset((make_trace("a", "benign", ("instructions",), [[1]]),))
     with pytest.raises(FeatureMismatchError, match="lacks counter 'cpu-cycles'"):
