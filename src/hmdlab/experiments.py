@@ -341,6 +341,9 @@ def _resilience_seed(ctx):
 
 
 def _grouping_for(cfg, train):
+    if cfg.n_groups > len(train.counters):
+        raise ConfigurationError(f"n_groups is {cfg.n_groups}, but {cfg.csv_path} "
+                                 f"has only {len(train.counters)} counters")
     chi2 = univariate_select_k_best(train, k=cfg.n_groups)
     imp = feature_importance_scores(train, n_trees=cfg.importance_trees, seed=0)
     corr = correlation_matrix(train)

@@ -49,8 +49,9 @@ class HpcGrouping:
 def _stacked(train):
     if not train.has_both_labels():
         raise DegenerateDataError("need both labels")
-    X, y = train.stack(train.counters)
-    return train.counters, X, y
+    counters = catalog_order(train.counters)  # not a CSV's column order
+    X, y = train.stack(counters)
+    return counters, X, y
 
 
 def univariate_select_k_best(train, k):

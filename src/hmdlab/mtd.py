@@ -5,7 +5,7 @@ LFSR (uniform or best-classifier-priority policy)."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,6 +154,7 @@ class MtdPool:
     policy: str  # one of POLICIES
     seed: int
     best_index: int = 0
+    counters: tuple = field(init=False)  # every member's view, in member order
 
     def __post_init__(self):
         if len(self.classifiers) < 2:
@@ -162,14 +163,15 @@ class MtdPool:
             raise ConfigurationError(f"unknown policy {self.policy!r}")
         if not 0 <= self.best_index < len(self.classifiers):
             raise ConfigurationError("best_index out of range")
-        seen = set()
+        counters = ()
         for c in self.classifiers:
-            overlap = seen.intersection(c.view.counters)
+            overlap = set(counters).intersection(c.view.counters)
             if overlap:
                 raise ConfigurationError(
                     f"classifier views overlap on {sorted(overlap)}"
                 )
-            seen.update(c.view.counters)
+            counters += c.view.counters
+        object.__setattr__(self, "counters", counters)
 
 
 @dataclass(frozen=True)
@@ -228,16 +230,16 @@ def design_pool(
 
 
 def classify_stream(pool, test):
-    """Route every iteration row through a randomly selected pool member and
-    account pass/fail against the true labels."""
+    """Route every iteration row to a randomly selected pool member, which
+    alone classifies it, and account pass/fail against the true labels."""
     if not test.traces:
         raise EmptyEvaluationError("empty test dataset")
-    X, y = test.stack(test.counters)  # every trace has at least one row
-    member_labels = np.vstack(
-        [m.predict_labels(X, test.counters) for m in pool.classifiers]
-    )
+    X, y = test.stack(pool.counters)  # every trace has at least one row
     chosen = select_stream(pool, len(y))
-    predicted = member_labels[chosen, np.arange(len(y))]
+    predicted = np.empty(len(y), np.int64)
+    for i, member in enumerate(pool.classifiers):  # one call each, even on 0 rows
+        rows = np.flatnonzero(chosen == i)
+        predicted[rows] = member.predict_labels(X[rows], pool.counters)
     histogram = tuple(np.bincount(chosen, minlength=len(pool.classifiers)).tolist())
     passes = int((predicted == y).sum())
     return MtdRunReport(

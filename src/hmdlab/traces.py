@@ -143,7 +143,11 @@ class Dataset:
         if not self.traces:
             return np.empty((0, len(counters))), np.empty(0, dtype=np.int64)
         idx = column_indices(self.counters, counters)
-        X = np.concatenate([t.values[:, idx] for t in self.traces], dtype=np.float64)
+        values = np.concatenate([t.values for t in self.traces])
+        # F order: column statistics sum in memory order, so it sets their bits
+        X = np.empty((len(values), len(idx)), order="F")
+        for j, i in enumerate(idx):
+            X[:, j] = values[:, i]
         y = np.repeat(
             np.array([t.label == "malware" for t in self.traces], np.int64),
             [t.iterations for t in self.traces],

@@ -193,6 +193,42 @@ def test_csv_is_parsed_once_per_run(tmp_path, monkeypatch):
     assert set(report["results"]["per_seed"]) == {3, 4}
 
 
+def _csv_results(tmp_path, recipe, datasets, **kw):
+    """The `results` of `recipe` on each dataset, ingested from a CSV."""
+    out = []
+    for i, ds in enumerate(datasets):
+        path = tmp_path / f"traces-{i}.csv"
+        write_perf_csv(ds, path)
+        cfg = _fast(recipe, csv_path=str(path), n_test_per_class=5, **kw)
+        out.append(json.dumps(run(cfg)["results"], sort_keys=True))
+    return out
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_csv_column_order_does_not_change_results(recipe, tmp_path):
+    data = generate_synthetic_dataset(default_profile(iterations=5), 30, 30, 1)
+    perm = np.random.default_rng(0).permutation(len(data.counters))
+    shuffled = Dataset(tuple(
+        HpcTrace(t.app_id, t.label, tuple(np.array(t.counters)[perm]),
+                 t.values[:, perm])
+        for t in data.traces
+    ))
+    first, second = _csv_results(tmp_path, recipe, (data, shuffled),
+                                 sizes=(2, 3), n_groups=3)
+    assert first == second
+
+
+@pytest.mark.parametrize("scale", [2, 1024])
+def test_csv_counts_times_a_power_of_two_do_not_change_baseline(scale, tmp_path):
+    # Standardization and tree thresholds scale exactly by a power of two.
+    data = generate_synthetic_dataset(default_profile(iterations=5), 30, 30, 1)
+    scaled = Dataset(tuple(
+        HpcTrace(t.app_id, t.label, t.counters, t.values * scale) for t in data.traces
+    ))
+    first, second = _csv_results(tmp_path, "baseline", (data, scaled))
+    assert first == second
+
+
 # ---------------------------------------------------------------------------
 # Determinism / report writing
 
@@ -354,6 +390,20 @@ def test_cli_run_rejects_csv_missing_a_counter(tmp_path, capsys):
     argv = ["run", "baseline", "--csv", str(path), "--n-test", "1", "--seed", "1"]
     assert main(argv) == 2
     assert "lacks counter" in capsys.readouterr().err
+
+
+def test_cli_run_pool_sweep_rejects_more_groups_than_csv_counters(tmp_path, capsys):
+    data = generate_synthetic_dataset(default_profile(iterations=3), 6, 6, 1)
+    counters = ("branch-misses", "cpu-cycles", "instructions", "LLC-loads")
+    idx = [data.counters.index(c) for c in counters]
+    path = tmp_path / "four.csv"
+    write_perf_csv(Dataset(tuple(
+        HpcTrace(t.app_id, t.label, counters, t.values[:, idx]) for t in data.traces
+    )), path)
+    argv = ["run", "pool_sweep", "--csv", str(path), "--n-test", "1", "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"n_groups is 5, but {path} has only 4 counters" in err
 
 
 def test_cli_run_rejects_a_csv_cell_over_the_field_limit(tmp_path, capsys):

@@ -9,7 +9,12 @@ import pytest
 
 import hmdlab
 from conftest import make_trace, stump
-from hmdlab.errors import ConfigurationError, EmptyEvaluationError
+from hmdlab.errors import (
+    ConfigurationError,
+    EmptyEvaluationError,
+    FeatureMismatchError,
+)
+from hmdlab.models import TrainedClassifier
 from hmdlab.mtd import (
     LFSR_PERIOD,
     ClassifierSelector,
@@ -22,7 +27,12 @@ from hmdlab.mtd import (
     lfsr_from_seed,
     select_stream,
 )
-from hmdlab.traces import Dataset, default_profile, generate_synthetic_dataset
+from hmdlab.traces import (
+    HPC_CATALOG,
+    Dataset,
+    default_profile,
+    generate_synthetic_dataset,
+)
 
 # First ten outputs from seed 0x0001, frozen as golden regression values.
 GOLDEN_OUTPUTS = [2, 4, 8, 17, 34, 68, 136, 273, 546, 1092]
@@ -289,6 +299,77 @@ def test_classify_stream_empty_dataset():
     pool = _pool([stump("branch-misses", 100), stump("instructions", 100)])
     with pytest.raises(EmptyEvaluationError):
         classify_stream(pool, Dataset(()))
+
+
+@pytest.fixture(scope="module")
+def mixed_members(small_dataset):
+    """Tree and network members on disjoint groups, and a fresh test set."""
+    groups = [
+        ("branch-instructions", "branch-misses", "bus-cycles"),
+        ("cache-misses", "cache-references"),
+        ("cpu-cycles", "instructions", "LLC-loads"),
+        ("LLC-stores", "dTLB-loads"),
+    ]
+    algos = ["decision_tree", "neural_network"] * 2
+    members = design_pool(small_dataset, groups, algos, seed=2,
+                          network_params={"epochs": 40}).classifiers
+    test = generate_synthetic_dataset(default_profile(iterations=10), 25, 25, 14)
+    return members, test
+
+
+@pytest.mark.parametrize("policy, best_index", [("uniform", 0), ("priority", 1)])
+def test_each_row_gets_its_chosen_members_full_batch_label(
+    mixed_members, policy, best_index
+):
+    members, test = mixed_members
+    pool = _pool(members, policy=policy, seed=5, best_index=best_index)
+    report = classify_stream(pool, test)
+    X, y = test.stack(test.counters)
+    full = np.vstack([m.predict_labels(X, test.counters) for m in members])
+    assert report.chosen.tolist() == select_stream(pool, len(y)).tolist()
+    assert all(n > 0 for n in report.selection_histogram)
+    assert report.predicted.dtype == np.int64
+    assert report.predicted.tolist() == full[report.chosen, np.arange(len(y))].tolist()
+    assert report.truth.tolist() == y.tolist()
+
+
+@pytest.fixture
+def predict_sizes(monkeypatch):
+    """The row count of every member prediction made while the test runs."""
+    predict, sizes = TrainedClassifier.predict_labels, []
+
+    def counted(self, matrix, counters):
+        sizes.append(len(matrix))
+        return predict(self, matrix, counters)
+
+    monkeypatch.setattr(TrainedClassifier, "predict_labels", counted)
+    return sizes
+
+
+def test_one_row_stream_leaves_most_of_a_five_member_pool_idle(predict_sizes):
+    members = [stump(c, 100, invert=i % 2) for i, c in enumerate(HPC_CATALOG[:5])]
+    pool = _pool(members, seed=3)
+    # every member calls this row malware
+    app = make_trace("a", "malware", HPC_CATALOG[:5], [[150, 50, 150, 50, 150]])
+    report = classify_stream(pool, Dataset((app,)))
+    (pick,) = report.chosen.tolist()
+    assert report.selection_histogram == tuple(int(i == pick) for i in range(5))
+    assert predict_sizes == list(report.selection_histogram)  # idle members too
+    assert report.predicted.tolist() == [1]
+    assert report.pass_count == 1 and report.fail_count == 0
+
+
+def test_stream_lacking_a_member_counter_raises_feature_mismatch():
+    pool = _pool([stump("branch-misses", 100), stump("cache-misses", 100)])
+    with pytest.raises(FeatureMismatchError, match="lacks counter 'cache-misses'"):
+        classify_stream(pool, _stream_dataset())
+
+
+def test_members_see_only_their_own_rows(mixed_members, predict_sizes):
+    members, test = mixed_members
+    report = classify_stream(_pool(members, seed=8), test)
+    assert predict_sizes == list(report.selection_histogram)
+    assert sum(predict_sizes) == len(report.truth) == 500
 
 
 # ---------------------------------------------------------------------------

@@ -147,13 +147,19 @@ def _stack_per_trace(ds, counters):
         ("branch-misses", "instructions", "LLC-load-misses"),
         tuple(reversed(HPC_CATALOG)),
         (),
+        ("instructions", "branch-misses", "instructions", "instructions"),
+        ("cache-misses",),
     ],
 )
 def test_stack_matches_per_trace_stack(small_dataset, n_apps, counters):
     # the first and last apps are benign and malware
     traces = small_dataset.traces[: (n_apps + 1) // 2]
     traces += small_dataset.traces[len(small_dataset) - n_apps // 2 :]
-    ds = Dataset(traces)
+    # 10, 7, 4, 1, 8, ... rows: traces of mixed lengths, one of a single row
+    ds = Dataset(tuple(
+        make_trace(t.app_id, t.label, t.counters, t.values[: 10 - 3 * i % 10])
+        for i, t in enumerate(traces)
+    ))
     X, y = ds.stack(counters)
     X_ref, y_ref = _stack_per_trace(ds, counters)
     for got, ref in ((X, X_ref), (y, y_ref)):
