@@ -143,6 +143,7 @@ def craft_perturbation(surrogate, trace, budget):
 
     Step order is fixed: sign step scaled by the per-counter training sdev,
     positivity mask on controllable counters, integer ceil, coupling, cap.
+    Raises CounterRangeError when an uncapped delta exceeds the int64 range.
     """
     if trace.label != "malware":
         raise ConfigurationError("only malware traces are camouflaged")
@@ -160,12 +161,17 @@ def craft_perturbation(surrogate, trace, budget):
             continue
         d = int(math.ceil(budget.epsilon * view.sdevs[j]))
         for name, v in _coupled(c, d).items():
-            deltas[name] = deltas.get(name, 0) + np.where(hit, v, 0)
+            prior = deltas.get(name, 0)
+            if v > INT64_MAX - int(np.where(hit, prior, 0).max()):
+                raise CounterRangeError(
+                    f"a {c!r} step adds more {name!r} events than a counter holds"
+                )
+            deltas[name] = prior + np.where(hit, v, 0)
 
     if budget.max_inject:
         for c, cap in budget.max_inject.items():
             if c in deltas:
-                deltas[c] = np.minimum(deltas[c], int(cap))
+                deltas[c] = np.minimum(deltas[c], min(int(cap), INT64_MAX))
     return Perturbation(n_rows=trace.iterations, deltas=deltas)
 
 

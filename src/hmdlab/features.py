@@ -22,7 +22,6 @@ from .traces import CATALOG_INDEX, catalog_order
 @dataclass(frozen=True)
 class FeatureScores:
     scores: dict  # counter -> non-negative float
-    k_selected: int | None = None
 
     def ranked(self):
         """Counters ordered best-first; ties broken by catalog order."""
@@ -68,10 +67,7 @@ def univariate_select_k_best(train, k):
     with np.errstate(invalid="ignore", divide="ignore"):
         chi2 = np.where(expected > 0, (observed - expected) ** 2 / expected, 0.0)
     scores = chi2.sum(axis=0)
-    return FeatureScores(
-        scores={c: float(s) for c, s in zip(counters, scores)},
-        k_selected=k,
-    )
+    return FeatureScores(scores={c: float(s) for c, s in zip(counters, scores)})
 
 
 def feature_importance_scores(train, n_trees=25, seed=0):

@@ -316,7 +316,6 @@ class TrainedClassifier:
     algo: str  # "decision_tree" | "neural_network"
     view: FeatureView
     model: object  # Tree | Network
-    training_seed: int
 
     def scores(self, matrix, counters):
         """Malware scores for rows of `matrix` whose columns are `counters`."""
@@ -338,15 +337,14 @@ def fit_tree_arrays(X, y, view, seed, max_depth=8, min_leaf=5, prune_fraction=0.
     rng = np.random.default_rng(seed)
     if prune_fraction > 0 and len(y) >= 10:
         order = rng.permutation(len(y))
-        n_prune = max(1, int(round(prune_fraction * len(y))))
+        # at least one row to prune with, and at least one to grow on
+        n_prune = min(max(1, int(round(prune_fraction * len(y)))), len(y) - 1)
         prune_idx, grow_idx = order[:n_prune], order[n_prune:]
         tree = grow_cart(X[grow_idx], y[grow_idx], max_depth, min_leaf)
         tree = reduced_error_prune(tree, X[prune_idx], y[prune_idx])
     else:
         tree = grow_cart(X, y, max_depth, min_leaf)
-    return TrainedClassifier(
-        algo="decision_tree", view=view, model=tree, training_seed=seed
-    )
+    return TrainedClassifier(algo="decision_tree", view=view, model=tree)
 
 
 def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):
@@ -359,9 +357,7 @@ def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):
     layers = [len(view.counters)] + list(hidden) + [1]
     net = Network.init(layers, seed)
     net.train(view.standardize(X), y.astype(np.float64), epochs, lr)
-    return TrainedClassifier(
-        algo="neural_network", view=view, model=net, training_seed=seed
-    )
+    return TrainedClassifier(algo="neural_network", view=view, model=net)
 
 
 def train_classifier(

@@ -81,10 +81,9 @@ def _orbit():
     return orbit, position
 
 
-def _draws(at, count, choices, skip):
-    """The next `count` exactly uniform draws over range(choices), each
-    shifted up by one from index `skip` on, from the LFSR outputs after
-    orbit index `at`; also the orbit index of the last output read.
+def _draws(at, count, choices):
+    """The next `count` exactly uniform draws over range(choices) from the
+    LFSR outputs after orbit index `at`.
 
     Rejection sampling: out - 1 runs over 0 .. 2^16 - 2 once per period
     and is kept iff it is below `limit`, the largest multiple of `choices`
@@ -100,52 +99,38 @@ def _draws(at, count, choices, skip):
         at = (at + missing) % LFSR_PERIOD
         kept.append(u[u < limit] % choices)
         missing -= len(kept[-1])
-    draws = np.concatenate(kept, dtype=np.int64)
-    draws += draws >= skip
-    return draws, at
-
-
-def _draw_rule(pool):
-    """(start, choices, skip) of the pool's draws: uniform draws over every
-    member; priority draws over the members other than the best."""
-    start = int(_orbit()[1][lfsr_from_seed(pool.seed).state])
-    n = len(pool.classifiers)
-    if pool.policy == "uniform":
-        return start, n, n  # no draw reaches index n
-    return start, n - 1, pool.best_index
+    return np.concatenate(kept, dtype=np.int64)
 
 
 def select_stream(pool, count):
-    """The picks of ticks 0 .. count - 1 in one pass, equal to
-    [ClassifierSelector(pool).select(t) for t in range(count)]."""
-    start, choices, skip = _draw_rule(pool)
+    """The picks of ticks 0 .. count - 1, read from the LFSR outputs after
+    the pool's seed state. Uniform: a draw over every member at each tick.
+    Priority: the best member on even ticks, and on odd ticks a draw over
+    the other members."""
+    start = int(_orbit()[1][lfsr_from_seed(pool.seed).state])
+    n = len(pool.classifiers)
     if pool.policy == "uniform":
-        return _draws(start, count, choices, skip)[0]
+        return _draws(start, count, n)
+    others = _draws(start, count // 2, n - 1)
     picks = np.full(count, pool.best_index)
-    picks[1::2] = _draws(start, count // 2, choices, skip)[0]
+    picks[1::2] = others + (others >= pool.best_index)
     return picks
 
 
 class ClassifierSelector:
-    """Stateful per-tick selection over a pool. A tick that draws takes the
-    pool's next draw; draws are read from the LFSR orbit 1,024 at a time."""
+    """Per-tick selection over a pool: select(t) is pick t of
+    select_stream(pool, n) for any n > t, in whatever order ticks come."""
 
     def __init__(self, pool):
-        self.policy = pool.policy
-        self.best_index = pool.best_index
-        self._draws = self._stream(*_draw_rule(pool))
-
-    @staticmethod
-    def _stream(at, choices, skip):
-        while True:
-            draws, at = _draws(at, 1024, choices, skip)
-            yield from draws.tolist()
+        self._pool = pool
+        self._picks = []
 
     def select(self, tick):
-        # priority: best classifier every other run, uniform over the rest
-        if self.policy == "priority" and tick % 2 == 0:
-            return self.best_index
-        return next(self._draws)
+        if tick < 0:
+            raise ConfigurationError("tick must be >= 0")
+        if tick >= len(self._picks):  # doubling blocks keep ticks 0 .. t linear
+            self._picks = select_stream(self._pool, max(1024, 2 * tick)).tolist()
+        return self._picks[tick]
 
 
 @dataclass(frozen=True)
@@ -189,10 +174,16 @@ class MtdRunReport:
         return self.pass_count / (self.pass_count + self.fail_count)
 
 
-def _training_accuracies(members, train):
-    """Each member's accuracy on the training rows."""
-    X, y = train.stack(train.counters)
-    return [(m.predict_labels(X, train.counters) == y).mean() for m in members]
+def _pool(members, policy, seed, train):
+    """An MtdPool of `members`. For the priority policy, the best member is
+    the one with the highest accuracy on the training rows, ties to the
+    lower index; the uniform policy never reads it."""
+    best_index = 0
+    if policy == "priority":
+        X, y = train.stack(train.counters)
+        accs = [(m.predict_labels(X, train.counters) == y).mean() for m in members]
+        best_index = int(np.argmax(accs))
+    return MtdPool(tuple(members), policy, seed, best_index)
 
 
 def design_pool(
@@ -221,12 +212,7 @@ def design_pool(
         )
         for i, (group, algo) in enumerate(zip(groups, algos))
     ]
-    best_index = 0
-    if policy == "priority":
-        best_index = int(np.argmax(_training_accuracies(members, train)))
-    return MtdPool(
-        classifiers=tuple(members), policy=policy, seed=seed, best_index=best_index
-    )
+    return _pool(members, policy, seed, train)
 
 
 def classify_stream(pool, test):
@@ -275,13 +261,11 @@ def evaluate_pool_sweep(
     top = max(sizes)
     per_size = [[] for _ in sizes]
     for seed in seeds:
-        # Members do not depend on the policy; each prefix's best is picked below.
+        # Members do not depend on the policy; each prefix picks its own best.
         members = design_pool(train, groups[:top], [algo] * top, "uniform", seed,
                               tree_params, network_params).classifiers
-        # argmax keeps ties on the lower index; uniform never reads best_index.
-        accs = [0] if policy == "uniform" else _training_accuracies(members, train)
         for size, out in zip(sizes, per_size):
-            pool = MtdPool(members[:size], policy, seed, int(np.argmax(accs[:size])))
+            pool = _pool(members[:size], policy, seed, train)
             out.append(classify_stream(pool, test).accuracy)
     return [
         {"size": size, "mean_accuracy": float(np.mean(out)), "per_seed": out}

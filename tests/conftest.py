@@ -51,4 +51,4 @@ def stump(counter, threshold, invert=False):
         p_malware=np.array([0.5, low, high]),
     )
     view = FeatureView((counter,), means=np.zeros(1), sdevs=np.ones(1))
-    return TrainedClassifier("decision_tree", view, tree, training_seed=0)
+    return TrainedClassifier("decision_tree", view, tree)

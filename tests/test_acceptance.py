@@ -126,9 +126,7 @@ def test_criterion_3_gradient_vs_finite_differences():
         view = FeatureView(
             counters=counters, means=np.zeros(n_in), sdevs=np.ones(n_in)
         )
-        clf = TrainedClassifier(
-            algo="neural_network", view=view, model=net, training_seed=0
-        )
+        clf = TrainedClassifier(algo="neural_network", view=view, model=net)
         x = rng.normal(size=n_in)
         target = "malware" if trial % 2 else "benign"
         y = 1.0 if target == "malware" else 0.0
@@ -188,7 +186,6 @@ def test_criterion_4_feasibility_properties():
             algo="neural_network",
             view=view,
             model=Network(weights=[w], biases=[np.zeros(1)]),
-            training_seed=0,
         )
         trace = make_trace(
             "m", "malware", ATTACK_HPCS, rng.integers(0, 40, size=(2, 4))

@@ -49,9 +49,7 @@ def _surrogate(weights, sdevs=None, counters=ATTACK_HPCS):
         weights=[np.asarray(weights, dtype=np.float64).reshape(1, -1)],
         biases=[np.zeros(1)],
     )
-    return TrainedClassifier(
-        algo="neural_network", view=view, model=net, training_seed=0
-    )
+    return TrainedClassifier(algo="neural_network", view=view, model=net)
 
 
 def _malware_trace(values):
@@ -201,6 +199,25 @@ def test_craft_max_inject_caps_deltas():
     p = craft_perturbation(sur, trace, budget)
     assert p.deltas["branch-misses"][0] == 5
     assert p.deltas["instructions"][0] == 600  # coupling precedes the cap
+
+
+@pytest.mark.parametrize("sdevs", [
+    [1.0, 2e18, 1.0, 1.0],  # 6 * ceil(sdev) instructions alone passes int64
+    [1.0, 1e18, 1.0, 1.2e18],  # 6e18 + 3.6e18 instructions, each in range
+])
+def test_craft_rejects_deltas_beyond_the_counter_range(sdevs):
+    sur = _surrogate([0.0, -1.0, 0.0, -1.0], sdevs=sdevs)
+    with pytest.raises(CounterRangeError, match="'instructions' events"):
+        craft_perturbation(sur, _malware_trace([[1, 1, 1, 1]]), AttackBudget())
+
+
+def test_craft_coupled_sum_at_the_top_of_the_range():
+    sur = _surrogate([0.0, -1.0, 0.0, -1.0], sdevs=[1.0, 1e18, 1.0, 1e18])
+    trace = _malware_trace([[1, 1, 1, 1]])
+    above_int64 = AttackBudget(max_inject={"instructions": 1e30})  # caps nothing
+    for budget in (AttackBudget(), above_int64):
+        p = craft_perturbation(sur, trace, budget)
+        assert p.deltas["instructions"].tolist() == [9 * 10**18]  # 6e18 + 3e18
 
 
 def test_craft_rejects_benign_and_tree_surrogates(small_dataset):

@@ -406,6 +406,34 @@ def test_cli_run_pool_sweep_rejects_more_groups_than_csv_counters(tmp_path, caps
     assert f"n_groups is 5, but {path} has only 4 counters" in err
 
 
+def test_cli_run_attack_rejects_a_csv_whose_coupled_delta_passes_int64(
+    tmp_path, capsys
+):
+    # sdev(branch-misses) is about 4.5e18, so the coupled instructions delta
+    # 6 * ceil(sdev) does not fit in int64.
+    data = generate_synthetic_dataset(default_profile(iterations=4), 15, 15, 1)
+    j = data.counters.index("branch-misses")
+    traces = []
+    for t in data.traces:
+        values = t.values.copy()
+        values[:, j] = 9 * 10**18 if t.label == "benign" else 0
+        traces.append(HpcTrace(t.app_id, t.label, t.counters, values))
+    path = tmp_path / "huge.csv"
+    write_perf_csv(Dataset(tuple(traces)), path)
+    argv = ["run", "attack", "--csv", str(path), "--n-test", "3", "--seed", "1",
+            "--epochs", "5", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "'instructions' events than a counter holds" in capsys.readouterr().err
+
+
+def test_cli_run_with_prune_fraction_near_one_grows_on_one_row(tmp_path):
+    # 300 training rows: round(0.99999 * 300) would leave none to grow on.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"recipe": "baseline", "prune_fraction": 0.99999, **FAST}))
+    assert main(["validate-config", str(path)]) == 0
+    assert main(["run", "baseline", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
 def test_cli_run_rejects_a_csv_cell_over_the_field_limit(tmp_path, capsys):
     path = tmp_path / "long.csv"
     path.write_text(

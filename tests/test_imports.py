@@ -29,13 +29,29 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _loads(tree, outside, kinds):
+    """Names that `kinds` nodes load in `tree`, outside the subtree `outside`."""
+    skip = {id(n) for n in ast.walk(outside)}
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, kinds) and isinstance(n.ctx, ast.Load) and id(n) not in skip
+    }
+
+
 def unread_private_names(source):
     """Module-level private (`_name`) functions, classes and constants that
-    no other top-level statement of the module reads, so a helper that only
-    calls itself counts as unread."""
+    no other top-level statement of the module reads, and private methods
+    of module-level classes (as `Class._name`) that no code outside the
+    method reads by name or attribute. So a helper that only calls itself
+    counts as unread."""
+    tree = ast.parse(source)
     unread = []
-    body = ast.parse(source).body
-    for owner in body:
+    for owner in tree.body:
         if isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [owner.name]
         elif isinstance(owner, (ast.Assign, ast.AnnAssign)):
@@ -43,18 +59,16 @@ def unread_private_names(source):
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        read = {
-            n.id
-            for stmt in body
-            if stmt is not owner
-            for n in ast.walk(stmt)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
-        unread += [
-            name
-            for name in names
-            if name.startswith("_") and not name.startswith("__") and name not in read
-        ]
+        read = _loads(tree, owner, ast.Name)
+        unread += [name for name in names if _private(name) and name not in read]
+        if isinstance(owner, ast.ClassDef):
+            unread += [
+                f"{owner.name}.{method.name}"
+                for method in owner.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _private(method.name)
+                and method.name not in _loads(tree, method, (ast.Name, ast.Attribute))
+            ]
     return unread
 
 
@@ -69,8 +83,12 @@ def test_unread_private_names_flags_orphans():
         "def _recursive(n):\n    return _recursive(n - 1)\n"
         "class _Helper:\n    pass\n"
         "def public():\n    return _USED + _Helper()\n"
+        "class Public:\n"
+        "    def _orphan(self):\n        return self._orphan()\n"
+        "    def _used(self):\n        pass\n"
+        "    def run(self):\n        return self._used()\n"
     )
-    assert unread_private_names(source) == ["_ORPHAN", "_recursive"]
+    assert unread_private_names(source) == ["_ORPHAN", "_recursive", "Public._orphan"]
 
 
 def raised_names(source):

@@ -48,9 +48,7 @@ def _linear_net(view, weights, bias=0.0):
         weights=[np.asarray(weights, dtype=np.float64).reshape(1, -1)],
         biases=[np.array([float(bias)])],
     )
-    return TrainedClassifier(
-        algo="neural_network", view=view, model=net, training_seed=0
-    )
+    return TrainedClassifier(algo="neural_network", view=view, model=net)
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +588,7 @@ def test_gradient_matches_finite_differences():
     )
     for layers in ([4, 8, 1], [4, 8, 8, 1]):
         net = Network.init(layers, seed=7)
-        clf = TrainedClassifier(
-            algo="neural_network", view=view, model=net, training_seed=7
-        )
+        clf = TrainedClassifier(algo="neural_network", view=view, model=net)
         x = rng.normal(size=4)
         g = input_gradient(clf, x, "malware")
 
@@ -617,8 +613,7 @@ def test_gradient_of_a_batch_matches_one_call_per_row():
         sdevs=np.array([2.0, 0.5, 3.0]),
     )
     clf = TrainedClassifier(
-        algo="neural_network", view=view, model=Network.init([3, 8, 4, 1], seed=5),
-        training_seed=5,
+        algo="neural_network", view=view, model=Network.init([3, 8, 4, 1], seed=5)
     )
     rows = np.random.default_rng(4).normal(scale=3.0, size=(30, 3))
     for target in ("benign", "malware"):

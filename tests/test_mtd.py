@@ -180,6 +180,20 @@ def test_select_stream_matches_the_per_tick_selector(n, policy):
                 assert np.array_equal(picks, ticks[:count])
 
 
+@pytest.mark.parametrize("policy", ["uniform", "priority"])
+def test_selector_is_tick_indexed(policy):
+    pool = SimpleNamespace(classifiers=tuple(range(5)), policy=policy,
+                           best_index=3, seed=11)
+    picks = select_stream(pool, 5000).tolist()
+    out_of_order = [4999, 7, 3, 3, 2048, 0, 1, 1024, 1023, 4000]
+    sel = ClassifierSelector(pool)
+    assert [sel.select(t) for t in out_of_order] == [picks[t] for t in out_of_order]
+    sel = ClassifierSelector(pool)
+    assert [sel.select(t) for t in range(0, 5000, 3)] == picks[::3]
+    with pytest.raises(ConfigurationError):
+        sel.select(-1)
+
+
 def _stepped_picks(pool, count):
     """Picks of ticks 0 .. count - 1 by stepping an Lfsr one output at a
     time through the rejection rule: the reference the orbit must match."""
