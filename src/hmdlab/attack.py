@@ -90,12 +90,13 @@ class Perturbation:
     def __add__(self, other):
         if self.n_rows != other.n_rows:
             raise ShapeError("row counts differ")
-        merged = {c: arr.copy() for c, arr in self.deltas.items()}
+        merged = dict(self.deltas)
         for c, arr in other.deltas.items():
             if c in merged:
-                merged[c] = merged[c] + arr
-            else:
-                merged[c] = arr.copy()
+                if (merged[c] > INT64_MAX - arr).any():
+                    raise CounterRangeError(f"counter {c!r} would overflow")
+                arr = merged[c] + arr
+            merged[c] = arr
         return Perturbation(n_rows=self.n_rows, deltas=merged)
 
     def nonzero_counters(self):
@@ -143,7 +144,8 @@ def craft_perturbation(surrogate, trace, budget):
 
     Step order is fixed: sign step scaled by the per-counter training sdev,
     positivity mask on controllable counters, integer ceil, coupling, cap.
-    Raises CounterRangeError when an uncapped delta exceeds the int64 range.
+    A capped counter's delta is min(sum of its contributions, cap). Raises
+    CounterRangeError when an uncapped delta or sum exceeds the int64 range.
     """
     if trace.label != "malware":
         raise ConfigurationError("only malware traces are camouflaged")
@@ -151,6 +153,8 @@ def craft_perturbation(surrogate, trace, budget):
     idx = column_indices(trace.counters, view.counters)
     X = trace.values[:, idx].astype(np.float64)
     g = input_gradient(surrogate, X, "malware")
+    caps = {c: min(int(cap), INT64_MAX)
+            for c, cap in (budget.max_inject or {}).items()}
     deltas = {}
     for c in budget.controllable:
         if c not in view.counters:
@@ -162,16 +166,14 @@ def craft_perturbation(surrogate, trace, budget):
         d = int(math.ceil(budget.epsilon * view.sdevs[j]))
         for name, v in _coupled(c, d).items():
             prior = deltas.get(name, 0)
-            if v > INT64_MAX - int(np.where(hit, prior, 0).max()):
+            cap = caps.get(name, INT64_MAX)
+            if name not in caps and v > cap - int(np.where(hit, prior, 0).max()):
                 raise CounterRangeError(
                     f"a {c!r} step adds more {name!r} events than a counter holds"
                 )
-            deltas[name] = prior + np.where(hit, v, 0)
-
-    if budget.max_inject:
-        for c, cap in budget.max_inject.items():
-            if c in deltas:
-                deltas[c] = np.minimum(deltas[c], min(int(cap), INT64_MAX))
+            v = min(v, cap)
+            # min(prior + v, cap), which never passes the int64 range
+            deltas[name] = np.where(hit, v + np.minimum(prior, cap - v), prior)
     return Perturbation(n_rows=trace.iterations, deltas=deltas)
 
 

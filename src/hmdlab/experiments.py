@@ -515,7 +515,8 @@ def emit_plot_data(report, figure):
             for entry in results["sweep"]:
                 rows.append(("n_h", entry["h_t"], float(entry["n_h"])))
                 rows.append(("n_c_log10", entry["h_t"], entry["n_c_log10"]))
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise MappingError(f"report results do not hold figure {figure!r}: {exc!r}")
     return rows
 

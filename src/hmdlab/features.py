@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateDataError, GroupingError
 from .models import grow_cart
-from .traces import CATALOG_INDEX, catalog_order
+from .traces import CATALOG_INDEX, catalog_order, column_indices
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class CorrelationMatrix:
     r: np.ndarray
 
     def value(self, a, b):
-        return float(self.r[self.counters.index(a), self.counters.index(b)])
+        i, j = column_indices(self.counters, (a, b))
+        return float(self.r[i, j])
 
 
 @dataclass(frozen=True)

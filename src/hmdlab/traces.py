@@ -276,18 +276,6 @@ def write_perf_csv(d, path):
                 w.writerow([t.app_id, t.label, it] + t.values[it].tolist())
 
 
-def _csv_rows(fh):
-    """CSV rows of a text file; ParseError if its bytes are not UTF-8 or
-    the csv module rejects a row."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"file is not UTF-8: {exc.reason}") from None
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
-
-
 def _header_problem(header):
     """Why the cells of a CSV header row are not a valid header, or None."""
     if header[:3] != ["app_id", "label", "iteration"] or len(header) < 4:
@@ -392,62 +380,64 @@ def _parse_fast(path):
 
 def _parse_rows(path):
     """`parse_perf_csv` one csv.reader row at a time, raising ParseError
-    with the line number of the first fault."""
+    that names the line on which the first faulty record ends."""
+    apps = {}  # app_id -> (label, {iteration: row values}, first line)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = _csv_rows(fh)
+        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header", line=1)
-        problem = _header_problem(header)
-        if problem is not None:
-            raise ParseError(problem, line=1)
-        counters = tuple(header[3:])
-
-        apps = {}  # app_id -> (label, {iteration: row values}, first line)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + len(counters):
-                raise ParseError(
-                    f"expected {3 + len(counters)} cells, got {len(row)}",
-                    line=lineno,
-                )
-            app_id, label = row[0], row[1]
-            if label not in LABELS:
-                raise ParseError(f"bad label {label!r}", line=lineno)
-            try:
-                iteration = int(row[2])
-            except ValueError:
-                raise ParseError(f"bad iteration {row[2]!r}", line=lineno)
-            if iteration < 0:
-                raise ParseError("iteration must be >= 0", line=lineno)
-            vals = []
-            for cell in row[3:]:
-                try:
-                    v = int(cell)
-                except ValueError:
-                    raise ParseError(f"bad counter value {cell!r}", line=lineno)
-                if v < 0:
-                    raise ParseError(f"negative counter value {v}", line=lineno)
-                if v > INT64_MAX:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("missing header", line=1)
+            problem = _header_problem(header)
+            if problem is not None:
+                raise ParseError(problem, line=reader.line_num)
+            counters = tuple(header[3:])
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != 3 + len(counters):
                     raise ParseError(
-                        f"counter value {v} exceeds the 64-bit range", line=lineno
+                        f"expected {3 + len(counters)} cells, got {len(row)}",
+                        line=line,
                     )
-                vals.append(v)
-            if app_id not in apps:
-                apps[app_id] = (label, {}, lineno)
-            prev_label, rows, _ = apps[app_id]
-            if prev_label != label:
-                raise ParseError(
-                    f"label for app {app_id!r} changed to {label!r}", line=lineno
-                )
-            if iteration in rows:
-                raise ParseError(
-                    f"duplicate iteration {iteration} for app {app_id!r}",
-                    line=lineno,
-                )
-            rows[iteration] = vals
+                app_id, label = row[0], row[1]
+                if label not in LABELS:
+                    raise ParseError(f"bad label {label!r}", line=line)
+                try:
+                    iteration = int(row[2])
+                except ValueError:
+                    raise ParseError(f"bad iteration {row[2]!r}", line=line)
+                if iteration < 0:
+                    raise ParseError("iteration must be >= 0", line=line)
+                vals = []
+                for cell in row[3:]:
+                    try:
+                        v = int(cell)
+                    except ValueError:
+                        raise ParseError(f"bad counter value {cell!r}", line=line)
+                    if v < 0:
+                        raise ParseError(f"negative counter value {v}", line=line)
+                    if v > INT64_MAX:
+                        raise ParseError(
+                            f"counter value {v} exceeds the 64-bit range", line=line
+                        )
+                    vals.append(v)
+                prev_label, rows, _ = apps.setdefault(app_id, (label, {}, line))
+                if prev_label != label:
+                    raise ParseError(
+                        f"label for app {app_id!r} changed to {label!r}", line=line
+                    )
+                if iteration in rows:
+                    raise ParseError(
+                        f"duplicate iteration {iteration} for app {app_id!r}",
+                        line=line,
+                    )
+                rows[iteration] = vals
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not UTF-8: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
 
     traces = []
     for app_id, (label, rows, first_line) in apps.items():

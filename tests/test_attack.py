@@ -28,7 +28,12 @@ from hmdlab.models import (
     TrainedClassifier,
     train_classifier,
 )
-from hmdlab.traces import Dataset, default_profile, generate_synthetic_dataset
+from hmdlab.traces import (
+    INT64_MAX,
+    Dataset,
+    default_profile,
+    generate_synthetic_dataset,
+)
 
 ATTACK_HPCS = (
     "branch-instructions",
@@ -114,6 +119,14 @@ def test_perturbation_addition_and_json():
     assert s.nonzero_counters() == {"branch-misses", "instructions"}
     with pytest.raises(ShapeError):
         p + Perturbation(n_rows=3, deltas={})
+
+
+def test_perturbation_sums_past_the_counter_range_raise():
+    p = Perturbation(n_rows=2, deltas={"instructions": np.array([INT64_MAX - 5, 0])})
+    with pytest.raises(CounterRangeError, match="'instructions' would overflow"):
+        p + p
+    with pytest.raises(CounterRangeError, match="'instructions' would overflow"):
+        strengthen(p, 10_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +231,25 @@ def test_craft_coupled_sum_at_the_top_of_the_range():
     for budget in (AttackBudget(), above_int64):
         p = craft_perturbation(sur, trace, budget)
         assert p.deltas["instructions"].tolist() == [9 * 10**18]  # 6e18 + 3e18
+
+
+def test_craft_caps_coupled_deltas_that_alone_pass_the_range():
+    # 6 * 2e18 instructions and 5 * 2e18 branch instructions pass int64
+    sur = _surrogate([0.0, -1.0, 0.0, 0.0], sdevs=[1.0, 2e18, 1.0, 1.0])
+    budget = AttackBudget(max_inject={"instructions": 5, "branch-instructions": 5})
+    p = craft_perturbation(sur, _malware_trace([[1, 1, 1, 1]]), budget)
+    assert p.deltas["branch-misses"].tolist() == [2 * 10**18]
+    assert p.deltas["instructions"].tolist() == [5]
+    assert p.deltas["branch-instructions"].tolist() == [5]
+
+
+def test_craft_caps_a_coupled_sum_that_passes_the_range():
+    # 6e18 + 6e18 instructions pass int64; the capped sum is 9e18
+    sur = _surrogate([0.0, -1.0, 0.0, -1.0], sdevs=[1.0, 1e18, 1.0, 2e18])
+    budget = AttackBudget(max_inject={"instructions": 9e18})
+    p = craft_perturbation(sur, _malware_trace([[1, 1, 1, 1]]), budget)
+    assert p.deltas["instructions"].tolist() == [9 * 10**18]
+    assert p.deltas["branch-instructions"].tolist() == [5 * 10**18]
 
 
 def test_craft_rejects_benign_and_tree_surrogates(small_dataset):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_trace, two_class_dataset
-from hmdlab.errors import ConfigurationError, GroupingError
+from hmdlab.errors import ConfigurationError, FeatureMismatchError, GroupingError
 from hmdlab.features import (
     CorrelationMatrix,
     FeatureScores,
@@ -136,6 +136,14 @@ def test_correlation_zero_variance_column():
     corr = correlation_matrix(d)
     assert corr.value("instructions", "branch-misses") == 0.0
     assert corr.value("instructions", "instructions") == 1.0
+
+
+def test_correlation_value_names_a_counter_the_matrix_lacks():
+    corr = CorrelationMatrix(counters=("instructions",), r=np.ones((1, 1)))
+    with pytest.raises(FeatureMismatchError, match="lacks counter 'cpu-cycles'"):
+        corr.value("instructions", "cpu-cycles")
+    with pytest.raises(FeatureMismatchError, match="lacks counter 'page-faults'"):
+        corr.value("page-faults", "instructions")
 
 
 def test_ranked_breaks_ties_by_catalog_order():

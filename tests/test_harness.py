@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import stump
@@ -279,6 +279,61 @@ def test_plot_data_mismatch_errors():
         emit_plot_data({"recipe": "combinatorics"}, "hpc-sweep")
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers() | st.sampled_from([10**400, -(10**400)]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# One results body each figure reads; the property edits parts of it.
+_FIGURE_RESULTS = {
+    "metric-bars": {
+        "aggregate": {"decision_tree": {"clean": {"accuracy": {"mean": 0.9}}}}
+    },
+    "pool-accuracy": {algo: [{"size": 2, "mean_accuracy": 0.9}] for algo in ALGOS},
+    "mixed-accuracy": {"aggregate": {"mixed": {"accuracy": {"mean": 0.9}}}},
+    "resilience": {"aggregate": {"levels": [{
+        "extra_branch_misses": {"mean": 0},
+        "attacked_accuracy": {"mean": 0.5},
+        "mtd_accuracy": {"mean": 0.9},
+    }]}},
+    "hpc-sweep": {"sweep": [{"h_t": 1, "n_h": "6195", "n_c_log10": 1.0}]},
+}
+_HUGE_N_H = {"sweep": [{"h_t": 1, "n_h": 10**400, "n_c_log10": 1}]}
+
+
+@st.composite
+def _edited(draw, body):
+    """`body` with some of its parts swapped for arbitrary JSON."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(_JSON)
+    if isinstance(body, dict):
+        return {k: draw(_edited(v)) for k, v in body.items()}
+    if isinstance(body, list):
+        return [draw(_edited(v)) for v in body]
+    return body
+
+
+@st.composite
+def _figure_reports(draw):
+    figure = draw(st.sampled_from(sorted(FIGURES)))
+    recipe = draw(st.sampled_from(FIGURES[figure]))
+    return figure, {"recipe": recipe, "results": draw(_edited(_FIGURE_RESULTS[figure]))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_figure_reports())
+@example(("hpc-sweep", {"recipe": "combinatorics", "results": _HUGE_N_H}))
+def test_plot_data_maps_any_results_or_raises_mapping_error(figure_report):
+    figure, report = figure_report
+    try:
+        rows = emit_plot_data(report, figure)
+    except MappingError:
+        return
+    assert all(isinstance(row, tuple) and len(row) == 3 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -353,6 +408,14 @@ def test_cli_plot_data_mismatch_exit_code(tmp_path, capsys):
     report_path = str(tmp_path / "report-combinatorics.json")
     rc = main(["plot-data", report_path, "--figure", "resilience"])
     assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_plot_data_rejects_a_number_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"recipe": "combinatorics", "results": _HUGE_N_H}))
+    assert str(10**400) in path.read_text()  # the integer written out in full
+    assert main(["plot-data", str(path), "--figure", "hpc-sweep"]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -92,22 +92,37 @@ def test_unread_private_names_flags_orphans():
 
 
 def raised_names(source):
-    """Names that `raise` statements of the source raise, called or not."""
+    """What the source's `raise` statements raise, called or not: a name, or
+    the source text of any other expression. A bare `raise` adds nothing."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name):
-                names.add(exc.id)
+            names.add(exc.id if isinstance(exc, ast.Name) else ast.unparse(exc))
     return names
 
 
-def test_every_error_class_is_raised():
+def error_classes():
     errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
-    classes = {
-        node.name
-        for node in errors.body
-        if isinstance(node, ast.ClassDef) and node.name != "HmdlabError"
-    }
+    return {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+
+
+def test_every_error_class_is_raised():
     raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in MODULES))
-    assert sorted(classes - raised) == []
+    assert sorted(error_classes() - {"HmdlabError"} - raised) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_raises_only_its_own_errors(path):
+    raised = raised_names(path.read_text(encoding="utf-8"))
+    assert sorted(raised - error_classes()) == []
+
+
+def test_raised_names_flags_foreign_errors():
+    source = (
+        "def f(x):\n"
+        "    try:\n        g()\n    except KeyError:\n        raise\n"
+        "    if x:\n        raise ValueError('bad')\n"
+        "    raise errors.DataError\n"
+    )
+    assert raised_names(source) - error_classes() == {"ValueError", "errors.DataError"}

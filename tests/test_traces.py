@@ -301,6 +301,12 @@ _MALFORMED = {
         2, "line 2: counter value 9223372036854775808 exceeds the 64-bit range"),
     b"app_id,label,iteration,instructions\na,benign,0,1\xff2\n": (  # not UTF-8
         None, "file is not UTF-8: invalid start byte"),
+    # a quoted cell spans lines 2 and 3, so the next record is on line 4
+    'app_id,label,iteration,instructions\n"a\nb",benign,0,5\nc,benign,0,x\n': (
+        4, "line 4: bad counter value 'x'"),
+    # a fault in a record that spans two lines names the line it ends on
+    'app_id,label,iteration,instructions\n"a\nb",gray,0,5\n': (
+        3, "line 3: bad label 'gray'"),
 }
 
 
