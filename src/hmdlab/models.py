@@ -72,6 +72,10 @@ class Tree:
     right: np.ndarray
     p_malware: np.ndarray
 
+    def __post_init__(self):  # a walk reads list items far faster than array items
+        arrays = self.feature, self.threshold, self.left, self.right
+        object.__setattr__(self, "_nodes", list(zip(*(a.tolist() for a in arrays))))
+
     def node_count(self):
         return len(self.feature)
 
@@ -81,14 +85,16 @@ class Tree:
         stack = [(0, np.arange(len(X)))] if len(X) else []
         while stack:
             node, idx = stack.pop()
-            f = self.feature[node]
+            f, threshold, left, right = self._nodes[node]
             if f < 0:
                 out[idx] = node
                 continue
-            mask = X[idx, f] <= self.threshold[node]  # the rows that go left
-            for child, rows in ((self.left, idx[mask]), (self.right, idx[~mask])):
-                if len(rows):
-                    stack.append((child[node], rows))
+            mask = X[:, f].take(idx) <= threshold  # the rows that go left
+            rows = idx[mask]
+            if len(rows) < len(idx):  # and when none go left, all go right
+                stack.append((right, idx[~mask] if len(rows) else idx))
+            if len(rows):
+                stack.append((left, rows))
         return out
 
     def scores(self, X):
@@ -98,7 +104,9 @@ class Tree:
 def _best_split(x, y, min_leaf):
     """Best (threshold, impurity decrease) for one feature, or None."""
     n = len(y)
-    order = np.argsort(x, kind="stable")
+    # Ties may sort in any order for NaN-free x (X holds int64 counters): a split
+    # sits only where xs[i] != xs[i + 1], and there cum_pos[i] counts all rows <= xs[i].
+    order = np.argsort(x)
     xs, ys = x[order], y[order]
     cum_pos = np.cumsum(ys)
     total_pos = cum_pos[-1]
@@ -319,8 +327,9 @@ class TrainedClassifier:
 
     def scores(self, matrix, counters):
         """Malware scores for rows of `matrix` whose columns are `counters`."""
-        idx = column_indices(counters, self.view.counters)
-        X = np.asarray(matrix, dtype=np.float64)[:, idx]
+        X = np.asarray(matrix, dtype=np.float64)
+        if counters != self.view.counters:
+            X = X[:, column_indices(counters, self.view.counters)]
         if self.algo == "decision_tree":
             return self.model.scores(X)
         return self.model.forward(self.view.standardize(X))
@@ -434,11 +443,6 @@ def compute_metrics(cc):
 
 def confusion_from_predictions(predicted, truth):
     """Counts from 0/1 arrays; malware (1) is positive."""
-    predicted = np.asarray(predicted)
-    truth = np.asarray(truth)
-    return ConfusionCounts(
-        tp=int(((predicted == 1) & (truth == 1)).sum()),
-        tn=int(((predicted == 0) & (truth == 0)).sum()),
-        fp=int(((predicted == 1) & (truth == 0)).sum()),
-        fn=int(((predicted == 0) & (truth == 1)).sum()),
-    )
+    truth, predicted = np.asarray(truth, np.int64), np.asarray(predicted, np.int64)
+    tn, fp, fn, tp = np.bincount(2 * truth + predicted, minlength=4).tolist()
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)

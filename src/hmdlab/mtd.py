@@ -222,20 +222,24 @@ def classify_stream(pool, test):
         raise EmptyEvaluationError("empty test dataset")
     X, y = test.stack(pool.counters)  # every trace has at least one row
     chosen = select_stream(pool, len(y))
+    counts = np.bincount(chosen, minlength=len(pool.classifiers)).tolist()
+    by_member = np.argsort(chosen.astype(np.uint8), kind="stable")  # uint8: 4x faster
     predicted = np.empty(len(y), np.int64)
-    for i, member in enumerate(pool.classifiers):  # one call each, even on 0 rows
-        rows = np.flatnonzero(chosen == i)
-        predicted[rows] = member.predict_labels(X[rows], pool.counters)
-    histogram = tuple(np.bincount(chosen, minlength=len(pool.classifiers)).tolist())
-    passes = int((predicted == y).sum())
+    start = col = 0  # pool.counters is the members' views in member order
+    for member, count in zip(pool.classifiers, counts):  # one call each, even on 0 rows
+        rows, view = by_member[start : start + count], member.view.counters
+        cols = X.T[col : col + len(view)].take(rows, axis=1).T  # in X's F order
+        predicted[rows] = member.predict_labels(cols, view)
+        start, col = start + count, col + len(view)
+    cc = confusion_from_predictions(predicted, y)
     return MtdRunReport(
         chosen=chosen,
         predicted=predicted,
         truth=y,
-        selection_histogram=histogram,
-        pass_count=passes,
-        fail_count=len(y) - passes,
-        metrics=compute_metrics(confusion_from_predictions(predicted, y)),
+        selection_histogram=tuple(counts),
+        pass_count=cc.tp + cc.tn,
+        fail_count=cc.fp + cc.fn,
+        metrics=compute_metrics(cc),
     )
 
 

@@ -70,7 +70,14 @@ class HpcTrace:
     def __post_init__(self):
         if self.label not in LABELS:
             raise DataError(f"bad label {self.label!r}")
-        vals = np.asarray(self.values, dtype=np.int64)
+        raw = np.asarray(self.values)
+        with np.errstate(invalid="ignore"):  # NaN or a value past int64: see below
+            vals = raw.astype(np.int64, copy=False)
+        if not np.can_cast(raw.dtype, np.int64):  # so the cast may change a value
+            for v in raw[vals != raw][:1]:  # the first value it changed
+                fault = "not finite" if not np.isfinite(v) else (
+                    "not a whole number" if v != int(v) else "past the int64 range")
+                raise DataError(f"counter value {v} is {fault}")
         if vals.ndim != 2 or vals.shape[0] < 1:
             raise DataError("values must be a non-empty 2-D matrix")
         if vals.shape[1] != len(self.counters):

@@ -18,7 +18,6 @@ from hmdlab.errors import (
     UnsupportedModelError,
 )
 from hmdlab.models import (
-    _best_split,
     ConfusionCounts,
     FeatureView,
     Network,
@@ -122,6 +121,33 @@ class _RefNode:
         self.p_malware = p_malware
 
 
+def _ref_best_split(x, y, min_leaf):
+    """models._best_split over a stable sort: the reference for its split."""
+    n = len(y)
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    cum_pos = np.cumsum(ys)
+    total_pos = cum_pos[-1]
+    p = total_pos / n
+    parent = 2.0 * p * (1.0 - p)
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    pos_left = cum_pos[:-1]
+    pos_right = total_pos - pos_left
+    valid = (xs[1:] != xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pl = pos_left / n_left
+        pr = pos_right / n_right
+    child = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
+    decrease = np.where(valid, parent - child, -np.inf)
+    best = int(np.argmax(decrease))
+    if decrease[best] <= 1e-12:
+        return None
+    return 0.5 * (xs[best] + xs[best + 1]), float(decrease[best])
+
+
 def _ref_grow(X, y, max_depth, min_leaf, feature_subsample=None, rng=None,
               importance_out=None):
     """CART grown as a recursive node graph: the reference for grow_cart."""
@@ -141,7 +167,7 @@ def _ref_grow(X, y, max_depth, min_leaf, feature_subsample=None, rng=None,
             feats = np.arange(k)
         best = None
         for f in feats:
-            res = _best_split(X[idx, f], yi, min_leaf)
+            res = _ref_best_split(X[idx, f], yi, min_leaf)
             if res is None:
                 continue
             threshold, dec = res
@@ -212,13 +238,32 @@ def _assert_same_tree(tree, root):
         assert got.dtype.kind == want.dtype.kind
 
 
-@pytest.mark.parametrize("max_depth", range(1, 11))
-def test_flat_tree_matches_recursive_node_graph(max_depth):
+def _tree_data(max_depth):
     rng = np.random.default_rng(max_depth)
     X = rng.normal(size=(200, 4))
     X[:, 3] = np.round(X[:, 3])  # ties between split candidates
     y = ((X[:, 0] + X[:, 1] > 0) ^ (rng.random(200) < 0.3)).astype(np.int64)
-    X_test = rng.normal(size=(50, 4))
+    return rng, X, y
+
+
+@pytest.mark.parametrize("max_depth", range(1, 11))
+def test_flat_tree_matches_recursive_node_graph(max_depth):
+    rng, X, y = _tree_data(max_depth)
+    _assert_grows_like_the_reference(X, y, rng.normal(size=(50, 4)), max_depth)
+
+
+@pytest.mark.parametrize("max_depth", range(1, 11))
+def test_flat_tree_matches_recursive_node_graph_on_tied_rows(max_depth):
+    # every column rounded, and rows repeated as a bootstrap draws them
+    rng, X, y = _tree_data(max_depth)
+    rows = rng.integers(0, 200, size=200)
+    X_test = np.round(rng.normal(size=(50, 4)), 1)
+    _assert_grows_like_the_reference(np.round(X, 1)[rows], y[rows], X_test, max_depth)
+
+
+def _assert_grows_like_the_reference(X, y, X_test, max_depth):
+    """grow_cart, its importances, Tree.scores and reduced_error_prune match
+    the node-graph reference on (X, y)."""
     for min_leaf in range(1, 6):
         for subsample in (None, 2):
             for n_prune in (0, 4, 100):
@@ -227,15 +272,14 @@ def test_flat_tree_matches_recursive_node_graph(max_depth):
                 grown = []
                 for grow in (grow_cart, _ref_grow):
                     draws = np.random.default_rng(min_leaf)
-                    imp = None if subsample is None else np.zeros(4)
+                    imp = np.zeros(4)
                     tree = grow(X_grow, y_grow, max_depth, min_leaf, subsample,
                                 draws, imp)
                     grown.append((tree, imp, draws.integers(1 << 30)))
                 (tree, imp, draw), (root, ref_imp, ref_draw) = grown
                 _assert_same_tree(tree, root)
-                if subsample is not None:
-                    np.testing.assert_array_equal(imp, ref_imp)
-                    assert draw == ref_draw
+                np.testing.assert_array_equal(imp, ref_imp)
+                assert draw == ref_draw
                 for Xp in (X_test, X_test[:0]):
                     out = np.empty(len(Xp))
                     _ref_scores(root, Xp, np.arange(len(Xp)), out)
@@ -540,6 +584,34 @@ def test_predict_iteration_tree_walk():
     rows = np.array([[150], [50]])
     np.testing.assert_array_equal(clf.scores(rows, ("instructions",)), [1.0, 0.0])
     np.testing.assert_array_equal(clf.predict_labels(rows, ("instructions",)), [1, 0])
+
+
+def _ref_leaves(tree, X):
+    """The leaf of each row of X, walked one row at a time."""
+    out = []
+    for x in X:
+        i = 0
+        while tree.feature[i] >= 0:
+            goes_left = x[tree.feature[i]] <= tree.threshold[i]
+            i = tree.left[i] if goes_left else tree.right[i]
+        out.append(i)
+    return np.array(out, dtype=np.intp)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 40_000])
+def test_leaves_match_a_per_row_walk_in_every_memory_layout(n):
+    rng = np.random.default_rng(n)
+    X = np.round(rng.normal(size=(400, 4)), 1)
+    y = ((X[:, 0] + X[:, 1] > 0) ^ (rng.random(400) < 0.2)).astype(np.int64)
+    tree = grow_cart(X, y, max_depth=8, min_leaf=2)
+    assert tree.node_count() > 15
+    wide = rng.normal(size=(n, 9))
+    want = _ref_leaves(tree, wide[:, 3:7])
+    for rows in (np.ascontiguousarray(wide[:, 3:7]), np.asfortranarray(wide[:, 3:7]),
+                 wide[:, 3:7]):  # C order, F order, and a view of wider rows
+        got = tree.leaves(rows)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want)
 
 
 def test_predict_iteration_zero_network_is_malware_by_ge_rule():

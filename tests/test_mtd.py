@@ -347,6 +347,34 @@ def test_each_row_gets_its_chosen_members_full_batch_label(
     assert report.truth.tolist() == y.tolist()
 
 
+@pytest.mark.parametrize("policy, best_index", [("uniform", 0), ("priority", 3)])
+def test_one_app_in_any_column_order_gets_its_chosen_members_labels(
+    small_dataset, policy, best_index
+):
+    # Five mixed members whose views interleave the catalog, so the pool's
+    # counters follow neither the catalog nor a shuffled stream's columns.
+    groups = [HPC_CATALOG[i::5] for i in range(5)]
+    algos = ["decision_tree", "neural_network"] * 2 + ["decision_tree"]
+    members = design_pool(small_dataset, groups, algos, seed=4,
+                          network_params={"epochs": 40}).classifiers
+    pool = _pool(members, policy=policy, seed=6, best_index=best_index)
+    test = generate_synthetic_dataset(default_profile(iterations=30), 4, 4, 15)
+    X, _ = test.stack(test.counters)
+    full = np.vstack([m.predict_labels(X, test.counters) for m in members])
+    order = np.random.default_rng(0).permutation(len(HPC_CATALOG))
+    start = 0
+    for t in test.traces:
+        shuffled = make_trace(t.app_id, t.label, np.array(t.counters)[order],
+                              t.values[:, order])
+        report = classify_stream(pool, Dataset((shuffled,)))
+        rows = start + np.arange(t.iterations)
+        assert report.chosen.tolist() == select_stream(pool, t.iterations).tolist()
+        assert report.predicted.tolist() == full[report.chosen, rows].tolist()
+        assert report.pass_count == int((report.predicted == report.truth).sum())
+        start += t.iterations
+    assert all(n > 0 for n in report.selection_histogram)
+
+
 @pytest.fixture
 def predict_sizes(monkeypatch):
     """The row count of every member prediction made while the test runs."""

@@ -13,7 +13,13 @@ import pytest
 
 from hmdlab import experiments
 from hmdlab.experiments import RECIPES, ExperimentConfig
-from hmdlab.mtd import POLICIES
+from hmdlab.mtd import POLICIES, MtdPool, classify_stream, design_pool
+from hmdlab.traces import (
+    HPC_CATALOG,
+    Dataset,
+    default_profile,
+    generate_synthetic_dataset,
+)
 
 # The perfbench smoke sizes (perfbench/workloads.py SMOKE), restated.
 SIZES = dict(n_benign=40, n_malware=40, n_test_per_class=10, iterations=5,
@@ -48,3 +54,35 @@ def test_report_results_are_byte_identical(policy, recipe):
     results = experiments.run(cfg)["results"]
     blob = json.dumps(results, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == DIGESTS[policy, recipe]
+
+
+# The per-app path: one `classify_stream` call per trace, as a deployed
+# detector answers one app at a time. The groups interleave the catalog, so
+# the pool's counters are in neither catalog nor stream order.
+PER_APP_GROUPS = [HPC_CATALOG[i::5] for i in range(5)]
+PER_APP_ALGOS = ["decision_tree", "neural_network"] * 2 + ["decision_tree"]
+PER_APP_DIGESTS = {
+    "uniform": "d99096fa79486d827886bdfe130011dcc584a04c13601edc8c28b664fac71dac",
+    "priority": "30e2d7ff26dfcf0cd5ba2845e3e1a9addc51fb5f77944123e43b884ae026aa30",
+}
+
+
+@pytest.fixture(scope="module")
+def per_app_pool():
+    train = generate_synthetic_dataset(default_profile(iterations=5), 40, 40, 3)
+    stream = generate_synthetic_dataset(default_profile(iterations=12), 30, 30, 5)
+    pool = design_pool(train, PER_APP_GROUPS, PER_APP_ALGOS, "priority", seed=3,
+                       network_params={"epochs": 30})
+    return pool, stream
+
+
+@pytest.mark.parametrize("policy", sorted(PER_APP_DIGESTS))
+def test_per_app_results_are_byte_identical(per_app_pool, policy):
+    pool, stream = per_app_pool
+    pool = MtdPool(pool.classifiers, policy, pool.seed, pool.best_index)
+    summary = []
+    for trace in stream.traces:
+        r = classify_stream(pool, Dataset((trace,)))
+        summary.append([r.pass_count, r.fail_count, list(r.selection_histogram)])
+    blob = json.dumps(summary).encode()
+    assert hashlib.sha256(blob).hexdigest() == PER_APP_DIGESTS[policy]

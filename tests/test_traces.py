@@ -54,6 +54,26 @@ def test_trace_rejects_bad_inputs():
         make_trace("a", "benign", ("instructions", "cpu-cycles"), [[1]])
 
 
+@pytest.mark.parametrize("values, fault", [
+    ([[1.7, 2.0]], "1.7 is not a whole number"),
+    ([[2.0, np.nan]], "nan is not finite"),
+    ([[np.inf, 2.0]], "inf is not finite"),
+    ([[1e30, 2.0]], "1e\\+30 is past the int64 range"),
+    (np.array([[2**63, 2]], np.uint64), "9223372036854775808 is past the int64 range"),
+])
+def test_trace_rejects_values_that_int64_cannot_hold(values, fault, recwarn):
+    with pytest.raises(DataError, match=f"counter value {fault}"):
+        HpcTrace("a", "benign", ("instructions", "cpu-cycles"), values)
+    assert not recwarn.list  # no cast warning ahead of the error
+
+
+def test_trace_keeps_whole_floats_and_int64_input_as_given():
+    t = HpcTrace("a", "benign", ("instructions",), [[3.0], [2.0**62]])
+    assert t.values.dtype == np.int64 and t.values.tolist() == [[3], [2**62]]
+    values = np.array([[1], [2]], np.int64)
+    assert HpcTrace("a", "benign", ("instructions",), values).values is values
+
+
 def test_trace_values_are_frozen():
     t = make_trace("a", "benign", ("instructions",), [[1], [2]])
     with pytest.raises(ValueError):
