@@ -22,8 +22,6 @@ MAX_CLASSIFIERS = 10_000_000
 def _log10_int(n):
     """log10 of a positive big integer. Splits off the low bits so neither
     str() nor float() ever touches a number with millions of digits."""
-    if n <= 0:
-        raise DomainError("log10 needs a positive integer")
     shift = max(0, n.bit_length() - 64)
     # n = lead * 2^shift * (1 + eps) with eps < 2^-63; negligible in log10
     return math.log10(n >> shift) + shift * _LOG10_2
@@ -57,14 +55,16 @@ class BigCount:
 def total_classifiers(h_t, r_max):
     """Number of distinct classifiers: sum of C(h_t, i) for i in 1..r_max."""
     if not 1 <= r_max <= h_t:
-        raise DomainError("need 1 <= r_max <= h_t")
+        raise DomainError(f"need 1 <= r_max <= h_t, got r_max={r_max}, h_t={h_t}")
     return BigCount.of(sum(math.comb(h_t, i) for i in range(1, r_max + 1)))
 
 
 def check_classifier_count(n_h):
-    """n_h (an int or BigCount) as an int; DomainError above
-    MAX_CLASSIFIERS."""
+    """n_h (an int or BigCount) as an int; DomainError unless a pool can be
+    drawn from it and counted exactly: 2 <= n_h <= MAX_CLASSIFIERS."""
     n = n_h.exact if isinstance(n_h, BigCount) else int(n_h)
+    if n < 2:
+        raise DomainError(f"need at least 2 classifiers for a pool, got {n}")
     if n > MAX_CLASSIFIERS:
         raise DomainError(
             f"{n} classifiers exceed the limit of {MAX_CLASSIFIERS}"
@@ -77,8 +77,6 @@ def total_combinations(n_h):
     """Number of pools of size >= 2 drawn from n_h classifiers:
     2^n_h - n_h - 1."""
     n = check_classifier_count(n_h)
-    if n < 2:
-        raise DomainError("need at least 2 classifiers")
     return BigCount.of((1 << n) - n - 1)
 
 
@@ -141,8 +139,6 @@ def sweep_curves(h_t_values, r_max):
     count; plot-ready rows."""
     rows = []
     for h_t in h_t_values:
-        if h_t < r_max:
-            raise DomainError(f"h_t={h_t} below r_max={r_max}")
         n_h = total_classifiers(h_t, r_max)
         n_c = total_combinations(n_h)
         rows.append({"h_t": h_t, "n_h": n_h.exact, "n_c_log10": n_c.log10})

@@ -52,8 +52,9 @@ class AttackBudget:
     coupling = DEFAULT_COUPLING
 
     def __post_init__(self):
-        if not 0 < self.epsilon <= 1:
-            raise ConfigurationError("epsilon must be in (0, 1]")
+        if isinstance(self.epsilon, bool) or not (
+                isinstance(self.epsilon, numbers.Real) and 0 < self.epsilon <= 1):
+            raise ConfigurationError(f"epsilon must be in (0, 1], not {self.epsilon!r}")
         # A cap applies only to a counter a perturbation writes.
         cappable = set().union(*(_coupled(c, 1) for c in self.controllable))
         for c, cap in (self.max_inject or {}).items():
@@ -118,9 +119,7 @@ def reverse_engineer(victim, probe, seed, counters, network_params=None):
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(probe.traces))
-    n_fit = max(1, int(round(0.7 * len(probe.traces))))
-    if n_fit == len(probe.traces):
-        n_fit -= 1
+    n_fit = round(0.7 * len(probe.traces))  # 1 <= n_fit < n for every n >= 2
     X_fit, X_held = (
         Dataset(tuple(probe.traces[i] for i in part)).stack(counters)[0]
         for part in (order[:n_fit], order[n_fit:])

@@ -113,9 +113,8 @@ class ExperimentConfig:
         if self.csv_path is None:  # split_train_test keeps a training app
             self._check("n_test_per_class", self.n_test_per_class
                         < min(self.n_benign, self.n_malware))
-        self._check("epsilon", _real(self.epsilon, 0, 1) and self.epsilon > 0)
         self._check("max_inject", isinstance(self.max_inject, (dict, type(None))))
-        AttackBudget(max_inject=self.max_inject)
+        AttackBudget(epsilon=self.epsilon, max_inject=self.max_inject)
         self._check("extras", _ints(self.extras, 0)
                     and all(flat_injection(e) is not None for e in self.extras))
         self._check("prune_fraction", _real(self.prune_fraction, 0, 1)

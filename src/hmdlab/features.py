@@ -106,7 +106,8 @@ def feature_importance_scores(train, n_trees=25, seed=0):
 def correlation_matrix(train):
     """Pearson r over all iterations pooled across apps. Zero-variance
     columns correlate 0 with everything and 1 with themselves."""
-    X, _ = train.stack(train.counters)
+    counters = catalog_order(train.counters)  # as _stacked: not a CSV's order
+    X, _ = train.stack(counters)
     if X.shape[0] < 2:
         raise DegenerateDataError("need at least 2 rows")
     centered = X - X.mean(axis=0)
@@ -118,7 +119,7 @@ def correlation_matrix(train):
     np.fill_diagonal(r, 1.0)
     r = np.clip(r, -1.0, 1.0)
     r = 0.5 * (r + r.T)
-    return CorrelationMatrix(counters=train.counters, r=r)
+    return CorrelationMatrix(counters=counters, r=r)
 
 
 def _combined_ranks(chi2, imp):

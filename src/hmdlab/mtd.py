@@ -195,17 +195,11 @@ def design_pool(
     tree_params=None,
     network_params=None,
 ):
-    """Train one classifier per disjoint counter group.
-
-    `grouping` is an HpcGrouping or a plain list of counter lists. For the
-    priority policy, the best member is the one with the highest training
-    accuracy (ties to the lower index); the uniform policy never reads it.
-    """
+    """Train one classifier per disjoint counter group into an MtdPool.
+    `grouping` is an HpcGrouping or a plain list of counter lists."""
     groups = getattr(grouping, "groups", grouping)
     if len(groups) != len(algos):
-        raise ConfigurationError("one algorithm per group is required")
-    if len(groups) < 2:
-        raise ConfigurationError("an MTD pool requires at least 2 classifiers")
+        raise ConfigurationError(f"{len(groups)} groups but {len(algos)} algorithms")
     members = [
         train_classifier(
             algo, train, group, seed + 1009 * (i + 1), tree_params, network_params
@@ -258,9 +252,7 @@ def evaluate_pool_sweep(
     quality-ordered groups. Member i depends only on group i, `algo` and the
     seed, so each seed trains the largest pool once; the rest are prefixes."""
     groups = list(getattr(grouping, "groups", grouping))
-    if max(sizes) > len(groups):
-        raise ConfigurationError("pool size exceeds the number of groups")
-    if min(sizes) < 2:
+    if min(sizes) < 2:  # a negative size would slice a valid prefix
         raise ConfigurationError("pool sizes must be >= 2")
     top = max(sizes)
     per_size = [[] for _ in sizes]

@@ -57,6 +57,16 @@ def column_indices(have, want):
         raise FeatureMismatchError(f"lacks counter {exc.args[0]!r}") from None
 
 
+def _counters_problem(counters):
+    """Why a counter list is not catalog names without repeats, or None."""
+    for c in counters:
+        if c not in CATALOG_INDEX:
+            return f"unknown counter {c!r}"
+    if len(set(counters)) != len(counters):
+        return f"counter {next(c for c in counters if counters.count(c) > 1)!r} repeats"
+    return None
+
+
 @dataclass(frozen=True)
 class HpcTrace:
     """Per-application matrix of counter readings, one row per sampling
@@ -71,8 +81,12 @@ class HpcTrace:
         if self.label not in LABELS:
             raise DataError(f"bad label {self.label!r}")
         raw = np.asarray(self.values)
-        with np.errstate(invalid="ignore"):  # NaN or a value past int64: see below
-            vals = raw.astype(np.int64, copy=False)
+        try:
+            with np.errstate(invalid="ignore"):  # NaN or a value past int64: see below
+                vals = raw.astype(np.int64, copy=False)
+        except OverflowError:  # an object array: a Python int or float past int64
+            v = next(v for v in raw.flat if not -INT64_MAX - 1 <= v <= INT64_MAX)
+            raise DataError(f"counter value {v} is past the int64 range") from None
         if not np.can_cast(raw.dtype, np.int64):  # so the cast may change a value
             for v in raw[vals != raw][:1]:  # the first value it changed
                 fault = "not finite" if not np.isfinite(v) else (
@@ -84,9 +98,9 @@ class HpcTrace:
             raise DataError("row width does not match counter list")
         if (vals < 0).any():
             raise DataError("counter values cannot be negative")
-        for c in self.counters:
-            if c not in CATALOG_INDEX:
-                raise DataError(f"unknown counter {c!r}")
+        problem = _counters_problem(self.counters)
+        if problem is not None:
+            raise DataError(problem)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "counters", tuple(self.counters))
@@ -287,13 +301,7 @@ def _header_problem(header):
     """Why the cells of a CSV header row are not a valid header, or None."""
     if header[:3] != ["app_id", "label", "iteration"] or len(header) < 4:
         return "header must be app_id,label,iteration,<hpc...>"
-    counters = header[3:]
-    for c in counters:
-        if c not in CATALOG_INDEX:
-            return f"unknown counter {c!r}"
-    if len(set(counters)) != len(counters):
-        return "duplicate counter column"
-    return None
+    return _counters_problem(header[3:])
 
 
 def parse_perf_csv(path):

@@ -11,6 +11,7 @@ from hmdlab.analysis import (
     BigCount,
     _digit_count,
     build_report,
+    check_classifier_count,
     decimal_string,
     single_classifier_probability,
     sweep_curves,
@@ -42,6 +43,14 @@ def test_total_combinations():
     assert total_combinations(total_classifiers(3, 1)).exact == 2**3 - 3 - 1
     with pytest.raises(DomainError):
         total_combinations(1)
+
+
+def test_classifier_count_needs_at_least_two_classifiers():
+    for n_h in (0, 1, BigCount.of(1), total_classifiers(1, 1)):
+        with pytest.raises(DomainError, match="need at least 2 classifiers"):
+            check_classifier_count(n_h)
+    assert check_classifier_count(2) == 2
+    assert check_classifier_count(total_classifiers(2, 1)) == 2
 
 
 def test_total_combinations_enumeration_oracle():
@@ -123,6 +132,16 @@ def test_build_report_fields():
     assert json.loads(json.dumps(report)) == report  # plain JSON values
 
 
+def test_report_sketches_a_pool_count_past_4000_digits():
+    report = build_report(h_t=30)
+    assert report["n_c_digits"] > 4000
+    mantissa, exponent = report["n_c"].split("e+")
+    assert int(exponent) == report["n_c_digits"] - 1
+    assert len(mantissa) == 8 and 1 <= float(mantissa) < 10
+    frac = report["n_c_log10"] - math.floor(report["n_c_log10"])
+    assert float(mantissa) == pytest.approx(10**frac, abs=1e-6)
+
+
 def test_digit_count_is_computed_once_and_only_when_read(monkeypatch):
     from hmdlab import analysis
 
@@ -159,6 +178,8 @@ def test_sweep_curves():
     n_hs = [r["n_h"] for r in rows]
     assert n_hs == sorted(n_hs) and len(set(n_hs)) == len(n_hs)
     assert sweep_curves([20], 4)[0]["n_h"] == total_classifiers(20, 4).exact
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="r_max=4, h_t=2"):
         sweep_curves([2], 4)
+    with pytest.raises(DomainError, match="need at least 2 classifiers"):
+        sweep_curves([20, 1], 1)
 

@@ -77,6 +77,17 @@ def test_budget_validation():
     assert AttackBudget().controllable == ("branch-misses", "LLC-load-misses")
 
 
+@pytest.mark.parametrize("epsilon", ["0.5", True, float("nan"), float("inf"), None])
+def test_budget_rejects_an_epsilon_that_is_not_a_real_in_range(epsilon):
+    with pytest.raises(ConfigurationError, match="epsilon must be in"):
+        AttackBudget(epsilon=epsilon)
+
+
+def test_budget_takes_any_real_epsilon_in_range():
+    for epsilon in (1, 0.5, np.float64(0.25), 1e-9):
+        assert AttackBudget(epsilon=epsilon).epsilon == epsilon
+
+
 @pytest.mark.parametrize(
     "max_inject",
     [
@@ -151,6 +162,22 @@ def test_reverse_engineer_boundaries():
         reverse_engineer(oracle, one_app, seed=0, counters=ATTACK_HPCS)
 
 
+@pytest.mark.parametrize("n_apps", [2, 3, 4, 5, 10])
+def test_reverse_engineer_holds_out_at_least_one_app(n_apps):
+    probe = generate_synthetic_dataset(default_profile(iterations=3), n_apps - 1, 1, 0)
+    rows = []
+
+    def oracle(X, counters):
+        rows.append(len(X))
+        return np.arange(len(X)) % 2
+
+    reverse_engineer(oracle, probe, seed=0, counters=ATTACK_HPCS,
+                     network_params={"epochs": 2})
+    n_fit = round(0.7 * n_apps)
+    assert rows == [3 * n_fit, 3 * (n_apps - n_fit)]
+    assert 1 <= n_fit < n_apps
+
+
 def test_reverse_engineer_wraps_oracle_failure():
     probe = generate_synthetic_dataset(default_profile(iterations=2), 2, 2, 0)
 
@@ -178,6 +205,17 @@ def test_craft_rejects_trace_lacking_a_view_counter():
     trace = make_trace("m0", "malware", ATTACK_HPCS[:3], [[10, 10, 10]])
     with pytest.raises(FeatureMismatchError):
         craft_perturbation(sur, trace, AttackBudget())
+
+
+def test_craft_skips_a_controllable_counter_the_surrogate_does_not_view():
+    # LLC-load-misses is controllable but not in this view, so only the
+    # branch-misses step and its coupling are written
+    counters = ("branch-instructions", "branch-misses", "instructions")
+    sur = _surrogate([0.0, -1.0, 0.0], counters=counters)
+    trace = _malware_trace([[10, 10, 10, 10]])
+    p = craft_perturbation(sur, trace, AttackBudget())
+    assert set(p.deltas) == {"branch-misses", "instructions", "branch-instructions"}
+    assert p.deltas["branch-misses"].tolist() == [1]
 
 
 def test_craft_coupling_arithmetic_exact():
@@ -328,6 +366,9 @@ def test_strengthen_arithmetic():
     )
     with pytest.raises(ConfigurationError):
         strengthen(p, -1)
+    # six instructions per branch-miss pass half the int64 range
+    with pytest.raises(CounterRangeError, match="exceeds the counter range"):
+        strengthen(p, 2**61)
 
 
 def test_strengthen_commutes_with_inject():

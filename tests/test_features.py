@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_trace, two_class_dataset
-from hmdlab.errors import ConfigurationError, FeatureMismatchError, GroupingError
+from hmdlab.errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    FeatureMismatchError,
+    GroupingError,
+)
 from hmdlab.features import (
     CorrelationMatrix,
     FeatureScores,
@@ -14,6 +19,7 @@ from hmdlab.features import (
 from hmdlab.traces import (
     Dataset,
     HPC_CATALOG,
+    HpcTrace,
     default_profile,
     generate_synthetic_dataset,
 )
@@ -146,6 +152,39 @@ def test_correlation_value_names_a_counter_the_matrix_lacks():
         corr.value("page-faults", "instructions")
 
 
+def _permuted(d, order):
+    """`d` with its columns in the given order of positions."""
+    counters = tuple(d.counters[i] for i in order)
+    return Dataset(tuple(HpcTrace(t.app_id, t.label, counters, t.values[:, order])
+                         for t in d.traces))
+
+
+def test_scores_are_bit_identical_in_any_column_order(small_dataset):
+    corr = correlation_matrix(small_dataset)
+    chi2 = univariate_select_k_best(small_dataset, 20)
+    imp = feature_importance_scores(small_dataset, n_trees=2, seed=0)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        d = _permuted(small_dataset, rng.permutation(len(HPC_CATALOG)))
+        other = correlation_matrix(d)
+        assert all(other.value(a, b) == corr.value(a, b)
+                   for a in HPC_CATALOG for b in HPC_CATALOG)
+        assert univariate_select_k_best(d, 20).scores == chi2.scores
+        assert feature_importance_scores(d, n_trees=2, seed=0).scores == imp.scores
+
+
+def test_scorers_reject_degenerate_input(small_dataset):
+    one_label = Dataset(tuple(small_dataset.by_label("benign")))
+    for score in (lambda d: univariate_select_k_best(d, 1), feature_importance_scores):
+        with pytest.raises(DegenerateDataError, match="need both labels"):
+            score(one_label)
+    with pytest.raises(ConfigurationError, match="n_trees"):
+        feature_importance_scores(small_dataset, n_trees=0)
+    one_row = Dataset((make_trace("a", "benign", ("instructions",), [[4]]),))
+    with pytest.raises(DegenerateDataError, match="at least 2 rows"):
+        correlation_matrix(one_row)
+
+
 def test_ranked_breaks_ties_by_catalog_order():
     fs = FeatureScores(
         scores={"instructions": 1.0, "branch-misses": 1.0, "cpu-cycles": 2.0},
@@ -184,6 +223,19 @@ def test_grouping_singletons_cover_catalog(small_dataset):
     assert len(g.groups) == 20
     assert all(len(grp) == 1 for grp in g.groups)
     assert {c for grp in g.groups for c in grp} == set(HPC_CATALOG)
+
+
+@pytest.mark.parametrize("n_groups, r_max, message", [
+    (1, 4, "n_groups must be >= 2"),
+    (2, 0, "r_max must be in"),
+    (2, 21, "r_max must be in"),
+])
+def test_grouping_rejects_bad_group_parameters(n_groups, r_max, message):
+    counters = ("branch-misses", "instructions")
+    scores = _toy_scores(counters, [2.0, 1.0])
+    corr = CorrelationMatrix(counters=counters, r=np.eye(2))
+    with pytest.raises(ConfigurationError, match=message):
+        propose_hpc_groups(scores, scores, corr, n_groups, r_max, corr_threshold=0.5)
 
 
 def test_grouping_pigeonhole(small_dataset):

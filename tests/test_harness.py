@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import stump
 from hmdlab.cli import _build_parser, main
 from hmdlab import experiments
-from hmdlab.errors import ConfigurationError, MappingError
+from hmdlab.errors import ConfigurationError, DomainError, MappingError
 from hmdlab.experiments import (
     ALGOS,
     FIGURES,
@@ -245,6 +246,20 @@ def test_write_report_atomic_name(tmp_path):
     assert path.endswith("report-combinatorics.json")
     assert json.load(open(path))["recipe"] == "combinatorics"
     assert not os.path.exists(path + ".tmp")
+
+
+def test_write_report_failure_leaves_no_tmp_and_keeps_the_old_report(tmp_path):
+    out = tmp_path / "out"
+    path = write_report({"recipe": "mtd", "results": 1}, str(out))
+    with pytest.raises(TypeError):
+        write_report({"recipe": "mtd", "results": object()}, str(out))
+    assert os.listdir(out) == ["report-mtd.json"]
+    assert json.load(open(path))["results"] == 1
+
+
+def test_aggregate_of_a_leaf_that_is_none_in_any_seed_is_none():
+    per_seed = {1: {"drop": 0.5, "n": 2}, 2: {"drop": None, "n": 4}}
+    assert _aggregate(per_seed) == {"drop": None, "n": {"mean": 3.0, "stddev": 1.0}}
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +608,31 @@ def test_cli_validate_config_rejects_what_run_rejects(obj, tmp_path, capsys):
         ExperimentConfig.from_dict({"recipe": "baseline", **obj})
 
 
+# Pool counts below 2: h_t = r_max = 1 gives one classifier, in the report
+# and in the sweep.
+_ONE_CLASSIFIER = [
+    {"recipe": "combinatorics", "h_t": 1, "r_max": 1, "single_h": 1},
+    {"recipe": "combinatorics", "r_max": 1, "sweep_h_t": [1, 20]},
+]
+
+
+@pytest.mark.parametrize("obj", _ONE_CLASSIFIER)
+def test_validate_config_rejects_a_pool_count_below_two_as_run_does(
+        obj, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["validate-config", str(path)],
+                 ["run", "combinatorics", "--config", str(path)]):
+        assert main(argv) == 2
+        assert "need at least 2 classifiers" in capsys.readouterr().err
+    with pytest.raises(DomainError, match="need at least 2 classifiers"):
+        ExperimentConfig.from_dict(obj)
+    # the recipe itself, handed the values unchecked, fails the same way
+    fields = {**asdict(ExperimentConfig()), **obj}
+    with pytest.raises(DomainError, match="need at least 2 classifiers"):
+        RECIPES["combinatorics"](SimpleNamespace(**fields))
+
+
 # Values for config fields, valid and invalid mixed.
 _CONFIG_DICTS = st.fixed_dictionaries(
     {},
@@ -603,6 +643,11 @@ _CONFIG_DICTS = st.fixed_dictionaries(
         "sizes": st.lists(st.integers(0, 7), max_size=3) | st.just(4),
         "seeds": st.lists(st.integers(-1, 3), max_size=3) | st.just("7"),
         "extras": st.lists(st.sampled_from([-1, 0, 10**6, 10**18, 0.5]), max_size=3),
+        "h_t": st.sampled_from([0, 1, 2, 3, 20, 2.5, "20", True]),
+        "r_max": st.sampled_from([0, 1, 2, 4, 21]),
+        "single_h": st.sampled_from([0, 1, 2, 8, 21]),
+        "sweep_h_t": st.lists(st.sampled_from([0, 1, 2, 3, 20, 30]), max_size=3)
+        | st.just(20),
         "max_inject": st.none()
         | st.dictionaries(
             st.sampled_from(["branch-misses", "LLC-load-misses", "instructions",
@@ -616,13 +661,17 @@ _CONFIG_DICTS = st.fixed_dictionaries(
 
 
 def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_path):
+    # combinatorics runs for real (under 0.01 s), so its run-time rejections show
     for name in RECIPES:
-        monkeypatch.setitem(RECIPES, name, lambda cfg: {})
+        if name != "combinatorics":
+            monkeypatch.setitem(RECIPES, name, lambda cfg: {})
     path = tmp_path / "cfg.json"
     out = tmp_path / "out"
 
     @settings(max_examples=100, deadline=None)
     @given(_CONFIG_DICTS)
+    @example(_ONE_CLASSIFIER[0])
+    @example(_ONE_CLASSIFIER[1])
     def agree(obj):
         path.write_text(json.dumps(obj))
         recipe = obj.get("recipe")

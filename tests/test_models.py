@@ -77,6 +77,13 @@ def test_view_column_indices_mismatch():
         column_indices(("instructions",), view.counters)
 
 
+@pytest.mark.parametrize("n", [0, 21])
+def test_view_rejects_a_counter_count_outside_1_to_20(n):
+    counters = tuple(f"c{i}" for i in range(n))
+    with pytest.raises(ConfigurationError, match="between 1 and 20 counters"):
+        FeatureView(counters=counters, means=np.zeros(n), sdevs=np.ones(n))
+
+
 def test_view_rejects_nonpositive_sdev():
     with pytest.raises(ConfigurationError):
         FeatureView(

@@ -261,7 +261,7 @@ def test_design_pool_trains_disjoint_members(small_dataset):
     assert pool.classifiers[0].view.counters == groups[0]
     assert pool.classifiers[1].view.counters == groups[1]
     assert pool.best_index in (0, 1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="2 groups but 1 algorithms"):
         design_pool(small_dataset, groups, ["decision_tree"])
     with pytest.raises(ConfigurationError):
         design_pool(small_dataset, groups[:1], ["decision_tree"])
@@ -497,4 +497,22 @@ def test_sweep_validates_sizes(trained_sweep):
     with pytest.raises(ConfigurationError):
         evaluate_pool_sweep(
             train, test, groups, "decision_tree", "uniform", sizes=[1], seeds=[1]
+        )
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([2, 6], "5 groups but 6 algorithms"),  # more members than groups
+    ([5, -1], "pool sizes must be >= 2"),  # members[:-1] would be a 4-member pool
+])
+def test_sweep_rejects_bad_sizes_before_any_fit(trained_sweep, monkeypatch, sizes,
+                                                message):
+    train, test, groups = trained_sweep
+
+    def no_fit(*args):
+        raise AssertionError("a member was trained")
+
+    monkeypatch.setattr(hmdlab.mtd, "train_classifier", no_fit)
+    with pytest.raises(ConfigurationError, match=message):
+        evaluate_pool_sweep(
+            train, test, groups, "decision_tree", "uniform", sizes=sizes, seeds=[1]
         )

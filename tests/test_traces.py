@@ -52,6 +52,9 @@ def test_trace_rejects_bad_inputs():
         make_trace("a", "benign", ("not-a-counter",), [[1]])
     with pytest.raises(DataError):
         make_trace("a", "benign", ("instructions", "cpu-cycles"), [[1]])
+    for values in ([1, 2], [[[1]]], np.empty((0, 1), np.int64)):
+        with pytest.raises(DataError, match="non-empty 2-D matrix"):
+            HpcTrace("a", "benign", ("instructions",), values)
 
 
 @pytest.mark.parametrize("values, fault", [
@@ -60,11 +63,26 @@ def test_trace_rejects_bad_inputs():
     ([[np.inf, 2.0]], "inf is not finite"),
     ([[1e30, 2.0]], "1e\\+30 is past the int64 range"),
     (np.array([[2**63, 2]], np.uint64), "9223372036854775808 is past the int64 range"),
+    # Python ints past int64 and uint64 arrive as an object array
+    ([[2**64, 2]], "18446744073709551616 is past the int64 range"),
+    ([[2, -(2**64)]], "-18446744073709551616 is past the int64 range"),
 ])
 def test_trace_rejects_values_that_int64_cannot_hold(values, fault, recwarn):
     with pytest.raises(DataError, match=f"counter value {fault}"):
         HpcTrace("a", "benign", ("instructions", "cpu-cycles"), values)
     assert not recwarn.list  # no cast warning ahead of the error
+
+
+def test_trace_rejects_a_repeated_counter():
+    # stack() would otherwise read one of the two columns for both
+    with pytest.raises(DataError, match="counter 'branch-misses' repeats"):
+        HpcTrace("a", "benign", ("branch-misses", "branch-misses"), [[1, 2]])
+
+
+def test_trace_equality_with_another_type_is_false():
+    t = make_trace("a", "benign", ("instructions",), [[5]])
+    assert t.__eq__(5) is NotImplemented
+    assert t != 5 and not t == 5
 
 
 def test_trace_keeps_whole_floats_and_int64_input_as_given():
@@ -299,6 +317,10 @@ _MALFORMED = {
         1, "line 1: header must be app_id,label,iteration,<hpc...>"),
     "app_id,label,iteration,mystery-counter\na,benign,0,1\n": (
         1, "line 1: unknown counter 'mystery-counter'"),
+    "app_id,label,iteration,instructions,cpu-cycles,instructions\na,benign,0,1,2,3\n": (
+        1, "line 1: counter 'instructions' repeats"),
+    "app_id,label,iteration,instructions\na,benign,-1,1\n": (
+        2, "line 2: iteration must be >= 0"),
     "app_id,label,iteration,instructions\na,benign,0,ten\n": (
         2, "line 2: bad counter value 'ten'"),
     "app_id,label,iteration,instructions\na,benign,zero,1\n": (
