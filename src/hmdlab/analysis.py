@@ -88,15 +88,16 @@ def single_classifier_probability(h_t, h):
 
 
 def decimal_string(fraction, sig=6):
-    """Scientific-notation rendering of an exact rational in (0, 1]."""
+    """Scientific-notation rendering of a positive exact rational."""
     if fraction <= 0:
         raise DomainError("expected a positive rational")
     num, den = fraction.numerator, fraction.denominator
-    exp = 0
-    while num < den:
-        num *= 10
+    # 10^(exp - 1) < num / den < 10^(exp + 1); step down if below 10^exp
+    exp = _digit_count(num) - _digit_count(den)
+    if num * 10 ** max(-exp, 0) < den * 10 ** max(exp, 0):
         exp -= 1
-    rounded = round(Fraction(num * 10 ** (sig - 1), den))
+    shift = sig - 1 - exp  # scales num / den into [10^(sig - 1), 10^sig)
+    rounded = round(Fraction(num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)))
     if rounded >= 10**sig:
         rounded //= 10
         exp += 1
@@ -119,6 +120,7 @@ def build_report(h_t=20, r_max=4, single_h=8):
     n_h = total_classifiers(h_t, r_max)
     n_c = total_combinations(n_h)
     single = single_classifier_probability(h_t, single_h)
+    subsets = BigCount.of(single.denominator)  # C(h_t, single_h)
     return {
         "h_t": h_t,
         "r_max": r_max,
@@ -129,7 +131,7 @@ def build_report(h_t=20, r_max=4, single_h=8):
         "n_c_digits": n_c.digits,
         "mtd_guess_probability_log10": -n_c.log10,
         "single_h": single_h,
-        "single_classifier_probability": f"1/{single.denominator}",
+        "single_classifier_probability": f"1/{_big_string(subsets)}",
         "single_classifier_probability_decimal": decimal_string(single),
     }
 

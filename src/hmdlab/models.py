@@ -272,6 +272,22 @@ class Network:
         return self._forward(_Workspace(Xs, len(self.weights)))[0]
 
     def train(self, Xs, y, epochs, lr):
+        """Full-batch gradient descent on rows Xs (n, d) with labels y. The
+        epochs run in float32 on float32 copies of the weights; the float64
+        arrays, which every prediction and gradient reads, take the result
+        back, also when training diverges."""
+        weights, biases = self.weights, self.biases
+        self.weights = [W.astype(np.float32) for W in weights]
+        self.biases = [b.astype(np.float32) for b in biases]
+        try:
+            self._train(Xs.astype(np.float32), np.asarray(y, dtype=np.float32),
+                        epochs, np.float32(lr))
+        finally:
+            for master, trained in zip(weights + biases, self.weights + self.biases):
+                master[...] = trained
+            self.weights, self.biases = weights, biases
+
+    def _train(self, Xs, y, epochs, lr):
         n = len(y)
         ws = _Workspace(Xs, len(self.weights))
         for epoch in range(epochs):
@@ -365,7 +381,7 @@ def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):
         raise ConfigurationError("hidden layer list must be non-empty")
     layers = [len(view.counters)] + list(hidden) + [1]
     net = Network.init(layers, seed)
-    net.train(view.standardize(X), y.astype(np.float64), epochs, lr)
+    net.train(view.standardize(X), y, epochs, lr)
     return TrainedClassifier(algo="neural_network", view=view, model=net)
 
 

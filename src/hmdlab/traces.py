@@ -4,6 +4,8 @@ perf-style CSV ingestion/export, and train/test splitting."""
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -67,6 +69,21 @@ def _counters_problem(counters):
     return None
 
 
+def _check_value(v):
+    """DataError unless counter value v is a whole number that int64 holds."""
+    if not isinstance(v, numbers.Real):
+        fault = "not a number"
+    elif not isinstance(v, numbers.Integral) and not math.isfinite(v):
+        fault = "not finite"
+    elif v != int(v):
+        fault = "not a whole number"
+    elif not -INT64_MAX - 1 <= int(v) <= INT64_MAX:
+        fault = "past the int64 range"
+    else:
+        return
+    raise DataError(f"counter value {v} is {fault}")
+
+
 @dataclass(frozen=True)
 class HpcTrace:
     """Per-application matrix of counter readings, one row per sampling
@@ -80,18 +97,23 @@ class HpcTrace:
     def __post_init__(self):
         if self.label not in LABELS:
             raise DataError(f"bad label {self.label!r}")
-        raw = np.asarray(self.values)
         try:
+            raw = np.asarray(self.values)
+        except ValueError:  # rows of unequal lengths or depths
+            raise DataError("values must be a non-empty 2-D matrix") from None
+        kind = raw.dtype.kind
+        if kind not in "biufO":
+            raise DataError(f"counter values must be numbers, not {raw.dtype}")
+        if kind == "O":  # Python objects, such as ints past int64 or None
+            for v in raw.flat:
+                _check_value(v)
+            vals = raw.astype(np.int64)
+        else:
             with np.errstate(invalid="ignore"):  # NaN or a value past int64: see below
                 vals = raw.astype(np.int64, copy=False)
-        except OverflowError:  # an object array: a Python int or float past int64
-            v = next(v for v in raw.flat if not -INT64_MAX - 1 <= v <= INT64_MAX)
-            raise DataError(f"counter value {v} is past the int64 range") from None
-        if not np.can_cast(raw.dtype, np.int64):  # so the cast may change a value
-            for v in raw[vals != raw][:1]:  # the first value it changed
-                fault = "not finite" if not np.isfinite(v) else (
-                    "not a whole number" if v != int(v) else "past the int64 range")
-                raise DataError(f"counter value {v} is {fault}")
+            if not np.can_cast(raw.dtype, np.int64):  # so the cast may change a value
+                for v in raw[vals != raw][:1]:  # the first value it changed
+                    _check_value(v)
         if vals.ndim != 2 or vals.shape[0] < 1:
             raise DataError("values must be a non-empty 2-D matrix")
         if vals.shape[1] != len(self.counters):

@@ -93,6 +93,7 @@ def test_decimal_string_rendering():
     assert decimal_string(Fraction(1, 3), sig=20) == "3.3333333333333333333e-01"
     assert decimal_string(Fraction(2, 3), sig=1) == "7e-01"
     assert decimal_string(Fraction(1), sig=1) == "1e+00"
+    assert decimal_string(Fraction(12345)) == "1.23450e+04"  # past 1 too
     rendered = decimal_string(Fraction(1, 125970), sig=12)
     assert abs(float(rendered) - 7.93839e-6) < 1e-11
     with pytest.raises(DomainError):
@@ -152,9 +153,12 @@ def test_digit_count_is_computed_once_and_only_when_read(monkeypatch):
     )
     sweep_curves([20, 40], 4)
     assert calls == []
-    # the report reads the digit count twice: for n_c and for n_c_digits
+    # the report reads n_c's digit count twice, for n_c and for n_c_digits,
+    # and counts it once. It also counts C(20, 8) = 125970 for the guess
+    # denominator's string, and decimal_string counts both parts of 1/125970.
     build_report()
-    assert calls == [total_combinations(total_classifiers(20, 4)).exact]
+    n_c = total_combinations(total_classifiers(20, 4)).exact
+    assert calls == [n_c, 125970, 1, 125970]
 
 
 def test_digit_count_at_powers_of_ten_and_two():
@@ -183,3 +187,11 @@ def test_sweep_curves():
     with pytest.raises(DomainError, match="need at least 2 classifiers"):
         sweep_curves([20, 1], 1)
 
+
+
+def test_report_sketches_a_guess_denominator_past_4000_digits():
+    # C(16000, 8000) has 4,815 digits, past Python's 4,300-digit str() limit
+    report = build_report(h_t=16000, r_max=1, single_h=8000)
+    assert report["single_classifier_probability"] == "1/1.904601e+4814"
+    assert report["single_classifier_probability_decimal"] == "5.25044e-4815"
+    assert json.loads(json.dumps(report)) == report

@@ -660,6 +660,11 @@ _CONFIG_DICTS = st.fixed_dictionaries(
 )
 
 
+# C(h_t, single_h) has more digits than Python's int-to-str limit allows
+_PAST_STR_LIMIT = {"recipe": "combinatorics", "h_t": 16000, "r_max": 1,
+                   "single_h": 8000, "sweep_h_t": []}
+
+
 def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_path):
     # combinatorics runs for real (under 0.01 s), so its run-time rejections show
     for name in RECIPES:
@@ -672,6 +677,7 @@ def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_pat
     @given(_CONFIG_DICTS)
     @example(_ONE_CLASSIFIER[0])
     @example(_ONE_CLASSIFIER[1])
+    @example(_PAST_STR_LIMIT)
     def agree(obj):
         path.write_text(json.dumps(obj))
         recipe = obj.get("recipe")

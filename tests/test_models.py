@@ -406,8 +406,8 @@ def test_tree_param_validation():
 
 def _reference_train(weights, biases, Xs, y, epochs, lr):
     """Full-batch training as plain per-epoch arithmetic that allocates every
-    array anew. Updates the lists in place; returns the epoch at which the
-    scores stop being finite, or None."""
+    array anew, in the dtype of its arguments. Updates the lists in place;
+    returns the epoch at which the scores stop being finite, or None."""
     n = len(y)
     for epoch in range(epochs):
         acts, zs = [Xs.T], []
@@ -435,12 +435,27 @@ def test_network_train_is_bit_identical_to_the_reference_epoch(hidden, d, n):
     Xs = rng.normal(size=(n, d))
     y = (rng.random(n) < 0.5).astype(np.float64)
     net = Network.init([d, *hidden, 1], seed=n)
-    weights = [W.copy() for W in net.weights]
-    biases = [b.copy() for b in net.biases]
-    assert _reference_train(weights, biases, Xs, y, 40, 0.5) is None
+    # Network.train runs its epochs in float32, so the reference does too.
+    weights, biases, Xs32, y32 = _float32(net.weights, net.biases, Xs, y)
+    assert _reference_train(weights, biases, Xs32, y32, 40, np.float32(0.5)) is None
+    masters = net.weights + net.biases
     net.train(Xs, y, epochs=40, lr=0.5)
+    _assert_float64_masters(net, masters)
     for got, want in zip(net.weights + net.biases, weights + biases):
         assert np.array_equal(got, want)
+
+
+def _float32(weights, biases, Xs, y):
+    """float32 copies of a fit's weight and bias lists, rows and labels."""
+    return ([W.astype(np.float32) for W in weights],
+            [b.astype(np.float32) for b in biases],
+            Xs.astype(np.float32), y.astype(np.float32))
+
+
+def _assert_float64_masters(net, masters):
+    """The net still holds the float64 arrays `masters`, each owning its data."""
+    assert [id(a) for a in net.weights + net.biases] == [id(a) for a in masters]
+    assert all(a.dtype == np.float64 and a.base is None for a in masters)
 
 
 @pytest.mark.parametrize("n", [1, 10_000])
@@ -524,12 +539,23 @@ def test_network_divergence_reports_epoch():
     assert f"epoch {err.value.epoch}" in str(err.value)
     X, y = d.stack(TWO)
     ref = Network.init([2, 4, 1], seed=0)
+    Xs = FeatureView.from_rows(TWO, X).standardize(X)
     with np.errstate(all="ignore"):
         epoch = _reference_train(
-            ref.weights, ref.biases, FeatureView.from_rows(TWO, X).standardize(X),
-            y.astype(np.float64), 50, 1e10,
+            *_float32(ref.weights, ref.biases, Xs, y), 50, np.float32(1e10)
         )
-    assert err.value.epoch == epoch
+    assert err.value.epoch == epoch == 4  # float32 overflows sooner than float64
+
+
+def test_diverging_network_keeps_its_float64_masters():
+    net = Network.init([2, 4, 1], seed=0)
+    masters = net.weights + net.biases
+    X = np.array([[1.0, -1.0], [-1.0, 1.0]] * 10)
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        net.train(X, np.array([0.0, 1.0] * 10), epochs=50, lr=1e30)
+    assert err.value.epoch > 0  # so some epochs updated the weights first
+    _assert_float64_masters(net, masters)
+    assert not all(np.isfinite(a).all() for a in masters)  # the diverged values
 
 
 def test_network_with_nan_weight_diverges_at_epoch_zero():

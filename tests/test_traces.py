@@ -52,7 +52,7 @@ def test_trace_rejects_bad_inputs():
         make_trace("a", "benign", ("not-a-counter",), [[1]])
     with pytest.raises(DataError):
         make_trace("a", "benign", ("instructions", "cpu-cycles"), [[1]])
-    for values in ([1, 2], [[[1]]], np.empty((0, 1), np.int64)):
+    for values in ([1, 2], [[[1]]], np.empty((0, 1), np.int64), [[1], [2, 3]]):
         with pytest.raises(DataError, match="non-empty 2-D matrix"):
             HpcTrace("a", "benign", ("instructions",), values)
 
@@ -63,14 +63,51 @@ def test_trace_rejects_bad_inputs():
     ([[np.inf, 2.0]], "inf is not finite"),
     ([[1e30, 2.0]], "1e\\+30 is past the int64 range"),
     (np.array([[2**63, 2]], np.uint64), "9223372036854775808 is past the int64 range"),
-    # Python ints past int64 and uint64 arrive as an object array
+    # Python ints past int64 and uint64, and None, arrive as an object array
     ([[2**64, 2]], "18446744073709551616 is past the int64 range"),
     ([[2, -(2**64)]], "-18446744073709551616 is past the int64 range"),
+    ([[float("nan"), 2**64]], "nan is not finite"),
+    ([[None, 2]], "None is not a number"),
 ])
 def test_trace_rejects_values_that_int64_cannot_hold(values, fault, recwarn):
     with pytest.raises(DataError, match=f"counter value {fault}"):
         HpcTrace("a", "benign", ("instructions", "cpu-cycles"), values)
     assert not recwarn.list  # no cast warning ahead of the error
+
+
+@pytest.mark.parametrize("values, message", [
+    ([["5", "6"]], "counter values must be numbers, not <U1"),
+    ([["x", 2]], "counter values must be numbers, not <U21"),
+])
+def test_trace_rejects_strings(values, message):
+    with pytest.raises(DataError, match=message):
+        HpcTrace("a", "benign", ("instructions", "cpu-cycles"), values)
+
+
+_CELLS = st.one_of(
+    st.integers(-3, 10**6),
+    st.floats(),
+    st.integers(2**63 - 2, 2**80) | st.integers(-(2**80), -(2**63) + 1),
+    st.text(max_size=2),
+    st.none(),
+)
+_MATRICES = st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(_CELLS, min_size=width, max_size=width),
+                           min_size=1, max_size=3))
+_NESTED = st.lists(st.recursive(_CELLS, lambda cells: st.lists(cells, max_size=3),
+                                max_leaves=8), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MATRICES | _NESTED)
+def test_trace_from_any_nested_values_builds_or_raises_data_error(values):
+    width = len(values[0]) if values and isinstance(values[0], list) else 1
+    try:
+        t = HpcTrace("a", "benign", HPC_CATALOG[:width], values)
+    except DataError:
+        return
+    assert t.values.dtype == np.int64
+    assert t.values.tolist() == [[int(v) for v in row] for row in values]
 
 
 def test_trace_rejects_a_repeated_counter():
