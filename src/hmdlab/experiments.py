@@ -133,6 +133,7 @@ class ExperimentConfig:
         self._check("sweep_h_t", _ints(self.sweep_h_t, self.r_max))
         for h_t in (self.h_t, *self.sweep_h_t):
             analysis.check_classifier_count(analysis.total_classifiers(h_t, self.r_max))
+        analysis.check_subset_count(self.h_t, self.single_h)
 
     def _check(self, name, ok):
         if not ok:

@@ -3,7 +3,9 @@ perf-style CSV ingestion/export, and train/test splitting."""
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import numbers
 import warnings
@@ -60,7 +62,10 @@ def column_indices(have, want):
 
 
 def _counters_problem(counters):
-    """Why a counter list is not catalog names without repeats, or None."""
+    """Why a counter list is not one or more catalog names without repeats,
+    or None."""
+    if not counters:
+        return "no counters"
     for c in counters:
         if c not in CATALOG_INDEX:
             return f"unknown counter {c!r}"
@@ -321,7 +326,7 @@ def write_perf_csv(d, path):
 
 def _header_problem(header):
     """Why the cells of a CSV header row are not a valid header, or None."""
-    if header[:3] != ["app_id", "label", "iteration"] or len(header) < 4:
+    if header[:3] != ["app_id", "label", "iteration"]:
         return "header must be app_id,label,iteration,<hpc...>"
     return _counters_problem(header[3:])
 
@@ -336,81 +341,79 @@ def parse_perf_csv(path):
     return _parse_rows(path) if parsed is None else parsed
 
 
-# Characters that make the fast path hand a file to `_parse_rows`. Without
+# Bytes that make the fast path hand a file to `_parse_rows`. Without
 # quotes, CR and NUL, csv.reader splits lines on "\n" and cells on ",".
 # np.loadtxt skips \x1c-\x1f as blanks around an integer where int() does
 # not; every other ASCII cell it reads as int64 int() reads the same.
-_ROW_PARSER_CHARS = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+_ROW_PARSER_BYTES = (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _parse_fast(path):
-    """`_parse_rows(path)` read with np.loadtxt, or None where the two could
-    differ or `_parse_rows` would raise.
+    """`_parse_rows(path)` read with one np.loadtxt pass over the file's
+    bytes, or None where the two could differ or `_parse_rows` would raise.
 
     The file must be ASCII: np.loadtxt misreads some non-ASCII characters
     as digits."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if (np.frombuffer(data, np.uint8, offset=start).max(initial=0) > 127
+            or any(c in data for c in _ROW_PARSER_BYTES)):
         return None
-    if not text.isascii() or any(c in text for c in _ROW_PARSER_CHARS):
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or "" in lines:
-        return None
-    header, body = lines[0].split(","), lines[1:]
+    # csv.reader refuses a cell past its field size limit, so no line may be
+    # longer: hop from line start to line start, at most one limit at a time.
+    at, limit = start, csv.field_size_limit()
+    while len(data) - at > limit:
+        at = data.rfind(b"\n", at, at + limit + 1) + 1
+        if not at:
+            return None
+    stream = io.BytesIO(data)
+    stream.seek(start)
+    header = stream.readline().rstrip(b"\n").decode("ascii").split(",")
     if _header_problem(header) is not None:
         return None
     counters = tuple(header[3:])
-    if not body:
-        return Dataset((), provenance="ingested")
-    # loadtxt fails on a row short of a used column, so the header's comma
-    # count on every line means no row has extra cells. The longest line
-    # bounds every cell, so it checks csv's field size limit, and it sets
-    # the width of every entry of the fixed-width name array: a line far
-    # longer than the rest would make that array far larger than the file.
-    longest = max(map(len, body))
-    if (text.count(",") != (len(header) - 1) * len(lines)
-            or longest > csv.field_size_limit()
-            or longest * len(lines) > 4 * len(text)):
+    # loadtxt zeroes a table of max_rows rows first. The line count bounds the
+    # rows, and a row takes 10 + 2 * len(counters) bytes or more: a file of
+    # shorter lines on average, blank ones included, goes to the row parser.
+    lines = data.count(b"\n")
+    if lines * (10 + 2 * len(counters)) > len(data):
         return None
+    # With a structured dtype loadtxt refuses a row of any other width. It
+    # skips empty lines, as `_parse_rows` does. A label field one byte wider
+    # than "malware" keeps any longer label from truncating to a valid one.
+    row = [("app_id", object), ("label", "S8"),
+           ("nums", np.int64, (1 + len(counters),))]  # iteration, counters
     try:
         with warnings.catch_warnings():
             # older numpy reads "5.0" as the integer 5 and only warns
             warnings.simplefilter("error", DeprecationWarning)
-            nums = np.loadtxt(body, dtype=np.int64, delimiter=",", comments=None,
-                              usecols=range(2, len(header)), ndmin=2)
-        names = np.loadtxt(body, dtype="S", delimiter=",", comments=None,
-                           usecols=(0, 1), ndmin=2)
+            warnings.simplefilter("ignore", UserWarning)  # blank lines, no rows
+            table = np.loadtxt(stream, dtype=row, delimiter=",", comments=None,
+                               encoding="ascii", ndmin=1, max_rows=lines)
     except (ValueError, OverflowError, DeprecationWarning):
         return None
-    if nums.shape != (len(body), len(header) - 2) or (nums < 0).any():
+    del data, stream
+    nums, labels = table["nums"], table["label"]
+    malware = labels == b"malware"
+    if (nums < 0).any() or not (malware | (labels == b"benign")).all():
         return None
-    malware = names[:, 1] == b"malware"
-    if not (malware | (names[:, 1] == b"benign")).all():
-        return None
-
-    ids, first, inverse, counts = np.unique(
-        names[:, 0], return_index=True, return_inverse=True, return_counts=True)
-    by_first = np.argsort(first)  # the apps in order of first appearance
-    # rows by app in that order, then by iteration
-    order = np.lexsort((nums[:, 0], first[inverse]))
-    sizes = counts[by_first]
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    index = {}  # app id -> its number in order of first appearance
+    apps = np.array([index.setdefault(a, len(index)) for a in table["app_id"].tolist()],
+                    dtype=np.intp)
+    order = np.lexsort((nums[:, 0], apps))  # rows by app, then by iteration
+    sizes = np.bincount(apps)
+    ends = np.cumsum(sizes)
+    starts = np.repeat(ends - sizes, sizes)
     malware = malware[order]
-    if not (np.array_equal(nums[order, 0], np.arange(len(body)) - starts)
+    if not (np.array_equal(nums[order, 0], np.arange(len(table)) - starts)
             and (malware == malware[starts]).all()):
         return None
-    ends = np.cumsum(sizes)
     traces = [
-        HpcTrace(app_id=app_id.decode(), label=LABELS[is_malware],
+        HpcTrace(app_id=app_id, label=LABELS[is_malware],
                  counters=counters, values=values)
         for app_id, is_malware, values in zip(
-            ids[by_first].tolist(), malware[ends - 1].tolist(),
-            np.split(nums[order, 1:], ends[:-1]))
+            index, malware[ends - 1].tolist(), np.split(nums[order, 1:], ends[:-1]))
     ]
     return Dataset(tuple(traces), provenance="ingested")
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmdlab.analysis import (
+    MAX_CLASSIFIERS,
+    MAX_SUBSET_DIGITS,
     BigCount,
     _digit_count,
     build_report,
     check_classifier_count,
+    check_subset_count,
     decimal_string,
     single_classifier_probability,
     sweep_curves,
@@ -195,3 +199,34 @@ def test_report_sketches_a_guess_denominator_past_4000_digits():
     assert report["single_classifier_probability"] == "1/1.904601e+4814"
     assert report["single_classifier_probability_decimal"] == "5.25044e-4815"
     assert json.loads(json.dumps(report)) == report
+
+
+def test_total_classifiers_stops_summing_past_the_limit():
+    # the whole sum at h_t = r_max = 10,000 takes 14.6 s
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match=f"exceed the limit of {MAX_CLASSIFIERS}"):
+        total_classifiers(10_000, 10_000)
+    assert time.perf_counter() - started < 1
+    assert total_classifiers(MAX_CLASSIFIERS, 1).exact == MAX_CLASSIFIERS
+    with pytest.raises(DomainError, match="exceed the limit"):
+        total_classifiers(MAX_CLASSIFIERS + 1, 1)
+
+
+def test_check_classifier_count_takes_a_count_past_python_str_limit():
+    # its one rule is the lower bound, so it never formats a count as text
+    assert check_classifier_count(2**15000 - 1) == 2**15000 - 1
+
+
+def test_subset_count_digits_are_bounded_before_math_comb():
+    # C(40000, 10504) has 10,000 digits and C(40000, 10505) 10,001
+    assert _digit_count(math.comb(40_000, 10_504)) == MAX_SUBSET_DIGITS
+    check_subset_count(40_000, 10_504)
+    with pytest.raises(DomainError, match=f"limit of {MAX_SUBSET_DIGITS} digits"):
+        check_subset_count(40_000, 10_505)
+    with pytest.raises(DomainError, match="need 1 <= h <= h_t"):
+        check_subset_count(5, 6)
+    # math.comb alone would take 1.35 s here
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match=f"limit of {MAX_SUBSET_DIGITS} digits"):
+        build_report(300_000, 1, 150_000)
+    assert time.perf_counter() - started < 1

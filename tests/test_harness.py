@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -665,6 +666,31 @@ _PAST_STR_LIMIT = {"recipe": "combinatorics", "h_t": 16000, "r_max": 1,
                    "single_h": 8000, "sweep_h_t": []}
 
 
+# A classifier sum that passes MAX_CLASSIFIERS at its second term, and a
+# subset count C(h_t, single_h) of 90,307 digits. Summed in full, the first
+# takes 47 s and its count passes Python's int-to-str limit; the second
+# takes 1.6 s to report.
+_HUGE_COUNTS = [
+    {"recipe": "combinatorics", "h_t": 15000, "r_max": 15000, "single_h": 1,
+     "sweep_h_t": []},
+    {"recipe": "combinatorics", "h_t": 300000, "r_max": 1, "single_h": 150000,
+     "sweep_h_t": []},
+]
+
+
+@pytest.mark.parametrize("obj", _HUGE_COUNTS)
+def test_validate_config_and_run_reject_huge_counts_at_once(obj, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["validate-config", str(path)],
+                 ["run", "combinatorics", "--config", str(path), "--out", str(tmp_path)]):
+        started = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 1
+        assert "exceed" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report-*"))
+
+
 def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_path):
     # combinatorics runs for real (under 0.01 s), so its run-time rejections show
     for name in RECIPES:
@@ -678,6 +704,8 @@ def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_pat
     @example(_ONE_CLASSIFIER[0])
     @example(_ONE_CLASSIFIER[1])
     @example(_PAST_STR_LIMIT)
+    @example(_HUGE_COUNTS[0])
+    @example(_HUGE_COUNTS[1])
     def agree(obj):
         path.write_text(json.dumps(obj))
         recipe = obj.get("recipe")

@@ -1,4 +1,6 @@
 import codecs
+import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +116,12 @@ def test_trace_rejects_a_repeated_counter():
     # stack() would otherwise read one of the two columns for both
     with pytest.raises(DataError, match="counter 'branch-misses' repeats"):
         HpcTrace("a", "benign", ("branch-misses", "branch-misses"), [[1, 2]])
+
+
+def test_trace_rejects_an_empty_counter_list():
+    # it would build a (1, 0) matrix, a trace with nothing to classify
+    with pytest.raises(DataError, match="no counters"):
+        HpcTrace("a", "benign", (), [[]])
 
 
 def test_trace_equality_with_another_type_is_false():
@@ -352,6 +360,7 @@ _MALFORMED = {
     "": (1, "line 1: missing header"),  # no header at all
     "who,what,when,instructions\na,benign,0,1\n": (
         1, "line 1: header must be app_id,label,iteration,<hpc...>"),
+    "app_id,label,iteration\na,benign,0\n": (1, "line 1: no counters"),
     "app_id,label,iteration,mystery-counter\na,benign,0,1\n": (
         1, "line 1: unknown counter 'mystery-counter'"),
     "app_id,label,iteration,instructions,cpu-cycles,instructions\na,benign,0,1,2,3\n": (
@@ -425,13 +434,68 @@ def test_fast_parse_reads_an_interleaved_export(tmp_path, small_dataset):
         assert not t.values.flags.writeable
 
 
-def test_fast_parse_leaves_one_very_long_line_to_the_row_parser(tmp_path):
-    # the name array is as wide as the longest app id on every row
+def test_fast_parse_reads_one_very_long_line_as_the_row_parser_does(tmp_path):
+    # app ids are strings of their own length, not entries of an array as
+    # wide as the longest one, so a long line costs only its own bytes
     path = tmp_path / "x.csv"
     rows = [f"a,benign,{i},1\n" for i in range(20)] + ["b" * 5000 + ",malware,0,2\n"]
     path.write_text("app_id,label,iteration,instructions\n" + "".join(rows))
-    assert _parse_fast(path) is None
+    assert _parse_fast(path) == _parse_rows(path)
     assert [t.iterations for t in parse_perf_csv(path).traces] == [20, 1]
+
+
+def test_fast_parse_leaves_a_file_of_mostly_blank_lines_to_the_row_parser(tmp_path):
+    # loadtxt would zero a table row for each of the 1,000 lines
+    path = tmp_path / "x.csv"
+    path.write_text("app_id,label,iteration,instructions\na,benign,0,5\n" + "\n" * 1000)
+    assert _parse_fast(path) is None
+    assert parse_perf_csv(path).traces == (make_trace("a", "benign", ("instructions",), [[5]]),)
+
+
+def test_fast_parse_peak_memory_stays_within_three_times_the_table(tmp_path):
+    # the file's bytes, the parsed table and one string per row are alive
+    # at once: 2.9x the kept values at 20k rows
+    d = generate_synthetic_dataset(default_profile(iterations=50), 200, 200, seed=3)
+    path = tmp_path / "x.csv"
+    write_perf_csv(d, path)
+    tracemalloc.start()
+    try:
+        parsed = parse_perf_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.traces == d.traces
+    assert peak <= 3 * sum(t.values.nbytes for t in parsed.traces)
+
+
+# App ids that csv.writer writes unquoted and np.loadtxt reads as written.
+_PLAIN_IDS = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                   blacklist_characters='",'), max_size=6)
+
+
+@st.composite
+def _datasets(draw):
+    counters = tuple(draw(st.lists(st.sampled_from(HPC_CATALOG), min_size=1,
+                                   max_size=3, unique=True)))
+    traces = []
+    for app_id in draw(st.lists(_PLAIN_IDS, max_size=4, unique=True)):
+        rows = draw(st.lists(st.lists(st.integers(0, 2**63 - 1), min_size=len(counters),
+                                      max_size=len(counters)), min_size=1, max_size=3))
+        traces.append(HpcTrace(app_id, draw(st.sampled_from(LABELS)), counters, rows))
+    return Dataset(traces)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_datasets(), st.booleans())
+def test_fast_parse_reads_every_export(tmp_path_factory, d, marked):
+    # a fast path that declined in silence would still pass the tests above
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_perf_csv(d, path)
+    if marked:
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    parsed = _parse_fast(path)
+    assert parsed is not None
+    assert parsed.traces == d.traces
 
 
 _APP_IDS = ("a", "b", " a", "a b", "\u00e9")
@@ -516,6 +580,9 @@ _HEADER = b"app_id,label,iteration,instructions\n"
 @example(_HEADER + b"a,benign,0,5\nb,malware,0,6\na,benign,1,7\n")  # interleaved
 @example(_HEADER + b"a,benign,1,5\na,benign,0,6\n")  # out of order
 @example(_HEADER + b'"a",benign,0,5\r\n\r\na,benign,1, +6 \n')
+@example(_HEADER + b"a,malwarez,0,5\n")  # one byte past "malware"
+@example(_HEADER + b"a,malware ,0,5\n")  # a trailing space
+@example(_HEADER + b"a" * (csv.field_size_limit() + 1) + b",benign,0,5\n")  # a long id
 def test_fast_parse_agrees_with_row_parse(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     path.write_bytes(data)
