@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class AttackBudget:
                     f"max_inject names {c!r}, which no perturbation writes"
                 )
             if (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
-                    or not math.isfinite(cap) or cap < 0):
+                    or not 0 <= cap <= sys.float_info.max):  # NaN fails too
                 raise ConfigurationError(
                     f"max_inject cap for {c!r} must be finite and >= 0"
                 )
@@ -203,6 +204,8 @@ def flat_injection(extra_branch_misses):
     the default coupling; None when one exceeds half the counter range."""
     if extra_branch_misses < 0:
         raise ConfigurationError("extra branch-misses must be >= 0")
+    if extra_branch_misses > INT64_MAX // 2:  # before a float product overflows
+        return None
     extra = _coupled("branch-misses", extra_branch_misses)
     return None if any(v > INT64_MAX // 2 for v in extra.values()) else extra
 

@@ -16,11 +16,12 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import HmdlabError, MappingError
+from .errors import HmdlabError
 from .experiments import (
     RECIPES,
     ExperimentConfig,
     emit_plot_data,
+    read_json,
     run,
     write_plot_csv,
     write_report,
@@ -82,12 +83,7 @@ def main(argv=None):
                 json.dump(report, sys.stdout, indent=2, sort_keys=True)
                 print()
         elif args.command == "plot-data":
-            with open(args.report, "r", encoding="utf-8") as fh:
-                try:
-                    report = json.load(fh)
-                except ValueError as exc:  # not JSON, or not UTF-8
-                    raise MappingError(f"{args.report} is not JSON: {exc}")
-            rows = emit_plot_data(report, args.figure)
+            rows = emit_plot_data(read_json(args.report, report=True), args.figure)
             if args.out:
                 with open(args.out, "w", encoding="utf-8", newline="") as fh:
                     write_plot_csv(rows, fh)

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -60,9 +61,9 @@ def _ints(values, lo, hi=math.inf):
 
 
 def _real(value, lo, hi=math.inf):
-    """True when value is a finite number in [lo, hi]."""
+    """True when value is a number in [lo, hi] that a float holds."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and lo <= value <= hi)
+            and lo <= value <= hi and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise ConfigurationError(f"{path} is not JSON: {exc}")
-        return cls.from_dict(obj)
+        return cls.from_dict(read_json(path))
+
+
+def read_json(path, report=False):
+    """The JSON value in the file at `path`. Raises ConfigurationError (for a
+    `report`, MappingError) if the file is not UTF-8, not JSON or too deep."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError: not UTF-8 or JSON
+            fault = f"{path} is not JSON: {exc}"
+    if report:
+        raise MappingError(fault)
+    raise ConfigurationError(fault)
 
 
 def _evaluate(classifier, traces):

@@ -60,7 +60,6 @@ def univariate_select_k_best(train, k):
     counters, X, y = _stacked(train)
     if not 1 <= k <= len(counters):
         raise ConfigurationError(f"k must be in [1, {len(counters)}]")
-    n = len(y)
     pri_malware = y.mean()
     priors = np.array([1 - pri_malware, pri_malware])
     observed = np.vstack([X[y == 0].sum(axis=0), X[y == 1].sum(axis=0)])
@@ -124,10 +123,9 @@ def correlation_matrix(train):
 
 def _combined_ranks(chi2, imp):
     """Mean of the two best-first rank positions, lower = better."""
-    counters = list(chi2.scores)
     pos_chi2 = {c: i for i, c in enumerate(chi2.ranked())}
     pos_imp = {c: i for i, c in enumerate(imp.ranked())}
-    return {c: 0.5 * (pos_chi2[c] + pos_imp[c]) for c in counters}
+    return {c: 0.5 * (pos_chi2[c] + pos_imp[c]) for c in chi2.scores}
 
 
 def propose_hpc_groups(chi2, imp, corr, n_groups, r_max, corr_threshold):

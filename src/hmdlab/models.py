@@ -273,19 +273,17 @@ class Network:
 
     def train(self, Xs, y, epochs, lr):
         """Full-batch gradient descent on rows Xs (n, d) with labels y. The
-        epochs run in float32 on float32 copies of the weights; the float64
-        arrays, which every prediction and gradient reads, take the result
-        back, also when training diverges."""
-        weights, biases = self.weights, self.biases
-        self.weights = [W.astype(np.float32) for W in weights]
-        self.biases = [b.astype(np.float32) for b in biases]
+        epochs run on a float32 copy of the network; the float64 arrays,
+        which every prediction and gradient reads, take the result back,
+        also when training diverges."""
+        f32 = Network([W.astype(np.float32) for W in self.weights],
+                      [b.astype(np.float32) for b in self.biases])
         try:
-            self._train(Xs.astype(np.float32), np.asarray(y, dtype=np.float32),
-                        epochs, np.float32(lr))
+            f32._train(Xs.astype(np.float32), np.asarray(y, dtype=np.float32),
+                       epochs, np.float32(lr))
         finally:
-            for master, trained in zip(weights + biases, self.weights + self.biases):
-                master[...] = trained
-            self.weights, self.biases = weights, biases
+            for master, w in zip(self.weights + self.biases, f32.weights + f32.biases):
+                master[...] = w
 
     def _train(self, Xs, y, epochs, lr):
         n = len(y)

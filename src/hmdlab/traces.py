@@ -75,7 +75,7 @@ def _counters_problem(counters):
 
 
 def _check_value(v):
-    """DataError unless counter value v is a whole number that int64 holds."""
+    """int(v), or DataError unless counter value v is a whole int64 value."""
     if not isinstance(v, numbers.Real):
         fault = "not a number"
     elif not isinstance(v, numbers.Integral) and not math.isfinite(v):
@@ -85,7 +85,7 @@ def _check_value(v):
     elif not -INT64_MAX - 1 <= int(v) <= INT64_MAX:
         fault = "past the int64 range"
     else:
-        return
+        return int(v)
     raise DataError(f"counter value {v} is {fault}")
 
 
@@ -106,19 +106,15 @@ class HpcTrace:
             raw = np.asarray(self.values)
         except ValueError:  # rows of unequal lengths or depths
             raise DataError("values must be a non-empty 2-D matrix") from None
-        kind = raw.dtype.kind
-        if kind not in "biufO":
+        if raw.dtype.kind not in "biufO":
             raise DataError(f"counter values must be numbers, not {raw.dtype}")
-        if kind == "O":  # Python objects, such as ints past int64 or None
-            for v in raw.flat:
-                _check_value(v)
-            vals = raw.astype(np.int64)
-        else:
-            with np.errstate(invalid="ignore"):  # NaN or a value past int64: see below
+        try:  # the check below names the first fault in flat order
+            with np.errstate(invalid="ignore"):
                 vals = raw.astype(np.int64, copy=False)
-            if not np.can_cast(raw.dtype, np.int64):  # so the cast may change a value
-                for v in raw[vals != raw][:1]:  # the first value it changed
-                    _check_value(v)
+        except (ArithmeticError, TypeError, ValueError):  # such as None or 2**64
+            vals = None
+        if not np.can_cast(raw, np.int64) and (vals is None or (vals != raw).any()):
+            vals = np.fromiter(map(_check_value, raw.flat), np.int64).reshape(raw.shape)
         if vals.ndim != 2 or vals.shape[0] < 1:
             raise DataError("values must be a non-empty 2-D matrix")
         if vals.shape[1] != len(self.counters):
@@ -278,8 +274,7 @@ def generate_synthetic_dataset(profile, n_benign, n_malware, seed):
             z = rng.standard_normal((profile.iterations, n_factors))
             eps = rng.standard_normal((profile.iterations, n_counters))
             log_v = mu + z @ profile.loadings.T + eps * profile.log_sdev
-            vals = np.rint(np.exp(log_v))
-            vals = np.maximum(vals, 0).astype(np.int64)
+            vals = np.rint(np.exp(log_v)).astype(np.int64)
             traces.append(
                 HpcTrace(
                     app_id=f"{label}-{i:04d}",

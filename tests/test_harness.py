@@ -530,20 +530,30 @@ def test_cli_run_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# The three commands that read a JSON file, each missing only its path
+_JSON_ARGVS = [
+    ["validate-config"],
+    ["run", "baseline", "--config"],
+    ["plot-data", "--figure", "hpc-sweep"],
+]
+
+
 @pytest.mark.parametrize("body", [b"{not json", b"5", b"[]", b"\xff\xfe"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate-config"],
-        ["run", "baseline", "--config"],
-        ["plot-data", "--figure", "hpc-sweep"],
-    ],
-)
+@pytest.mark.parametrize("argv", _JSON_ARGVS)
 def test_cli_rejects_a_file_that_is_not_a_json_object(argv, body, tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_bytes(body)
     assert main(argv + [str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _JSON_ARGVS, ids=lambda argv: argv[0])
+def test_cli_rejects_json_nested_past_the_parser_recursion_limit(argv, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not JSON: maximum recursion")
 
 
 @pytest.mark.parametrize(
@@ -691,6 +701,24 @@ def test_validate_config_and_run_reject_huge_counts_at_once(obj, tmp_path, capsy
     assert not list(tmp_path.glob("report-*"))
 
 
+# An int too large for a float in each field whose check once converted it
+_PAST_FLOAT = [
+    {"recipe": "mtd", "lr": 10**400},
+    {"recipe": "mtd", "prune_fraction": 10**400},
+    {"recipe": "pool_sweep", "corr_threshold": 10**400},
+    {"recipe": "attack", "max_inject": {"branch-misses": 10**400}},
+    {"recipe": "resilience", "extras": [10**400]},
+]
+
+
+@pytest.mark.parametrize("obj", _PAST_FLOAT, ids=lambda obj: list(obj)[1])
+def test_validate_config_rejects_an_int_too_large_for_a_float(obj, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate-config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_path):
     # combinatorics runs for real (under 0.01 s), so its run-time rejections show
     for name in RECIPES:
@@ -706,6 +734,11 @@ def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_pat
     @example(_PAST_STR_LIMIT)
     @example(_HUGE_COUNTS[0])
     @example(_HUGE_COUNTS[1])
+    @example(_PAST_FLOAT[0])
+    @example(_PAST_FLOAT[1])
+    @example(_PAST_FLOAT[2])
+    @example(_PAST_FLOAT[3])
+    @example(_PAST_FLOAT[4])
     def agree(obj):
         path.write_text(json.dumps(obj))
         recipe = obj.get("recipe")

@@ -91,6 +91,44 @@ def test_unread_private_names_flags_orphans():
     assert unread_private_names(source) == ["_ORPHAN", "_recursive", "Public._orphan"]
 
 
+def unread_locals(source):
+    """Names a function assigns but never reads, as `function.name`. Nested
+    functions count as part of each function around them, an augmented
+    assignment (`x += 1`) counts as a read, and names that start with `_`
+    are exempt."""
+    unread = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                stored[n.id] = None
+            elif isinstance(n, ast.Name):
+                read.add(n.id)
+            elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+                read.add(n.target.id)
+        unread += [f"{fn.name}.{name}" for name in stored
+                   if not name.startswith("_") and name not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_name_is_read(path):
+    assert unread_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_unread_locals_flags_dead_assignments():
+    source = (
+        "def f(xs):\n"
+        "    n = len(xs)\n    total = 0\n    count = 0\n    _skip = 1\n"
+        "    for x, unused in xs:\n        total += x\n"
+        "    def g():\n        return count\n"
+        "    return g\n"
+    )
+    assert unread_locals(source) == ["f.n", "f.unused"]
+
+
 def raised_names(source):
     """What the source's `raise` statements raise, called or not: a name, or
     the source text of any other expression. A bare `raise` adds nothing."""

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,8 @@ def test_trace_rejects_bad_inputs():
     ([[2, -(2**64)]], "-18446744073709551616 is past the int64 range"),
     ([[float("nan"), 2**64]], "nan is not finite"),
     ([[None, 2]], "None is not a number"),
+    # a fraction the int64 cast truncates
+    ([[Fraction(3, 2), 2]], "3/2 is not a whole number"),
 ])
 def test_trace_rejects_values_that_int64_cannot_hold(values, fault, recwarn):
     with pytest.raises(DataError, match=f"counter value {fault}"):
@@ -135,6 +138,9 @@ def test_trace_keeps_whole_floats_and_int64_input_as_given():
     assert t.values.dtype == np.int64 and t.values.tolist() == [[3], [2**62]]
     values = np.array([[1], [2]], np.int64)
     assert HpcTrace("a", "benign", ("instructions",), values).values is values
+    # whole values in an object array take the same cast
+    t = HpcTrace("a", "benign", ("branch-misses", "cpu-cycles"), [[Fraction(3), 2]])
+    assert t.values.dtype == np.int64 and t.values.tolist() == [[3, 2]]
 
 
 def test_trace_values_are_frozen():
