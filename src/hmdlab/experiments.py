@@ -30,10 +30,16 @@ from .features import (
     propose_hpc_groups,
     univariate_select_k_best,
 )
-from .models import compute_metrics, confusion_from_predictions, train_classifier
+from .models import (
+    check_hidden,
+    compute_metrics,
+    confusion_from_predictions,
+    train_classifier,
+)
 from .mtd import POLICIES, classify_stream, design_pool, evaluate_pool_sweep
 from .traces import (
     Dataset,
+    check_synthetic_size,
     default_profile,
     generate_synthetic_dataset,
     parse_perf_csv,
@@ -114,13 +120,17 @@ class ExperimentConfig:
         if self.csv_path is None:  # split_train_test keeps a training app
             self._check("n_test_per_class", self.n_test_per_class
                         < min(self.n_benign, self.n_malware))
+            check_synthetic_size(self.n_benign, self.n_malware, self.iterations)
+            check_synthetic_size(self.probe_per_class, self.probe_per_class,
+                                 self.iterations)
         self._check("max_inject", isinstance(self.max_inject, (dict, type(None))))
         AttackBudget(epsilon=self.epsilon, max_inject=self.max_inject)
         self._check("extras", _ints(self.extras, 0)
                     and all(flat_injection(e) is not None for e in self.extras))
         self._check("prune_fraction", _real(self.prune_fraction, 0, 1)
                     and self.prune_fraction < 1)
-        self._check("hidden", len(self.hidden) > 0 and _ints(self.hidden, 1))
+        self._check("hidden", all(type(h) is int for h in self.hidden))
+        check_hidden(self.hidden)
         self._check("lr", _real(self.lr, 0) and self.lr > 0)
         self._check("n_groups", _ints([self.n_groups], 2, 20))
         self._check("group_r_max", _ints([self.group_r_max], 1, 20))

@@ -82,7 +82,8 @@ def feature_importance_scores(train, n_trees=25, seed=0):
     totals = np.zeros(k)
     n = len(y)
     for _ in range(n_trees):
-        rows = rng.integers(0, n, size=n)
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(counts)  # each drawn row once, weighted by its count
         imp = np.zeros(k)
         grow_cart(
             X[rows],
@@ -92,6 +93,7 @@ def feature_importance_scores(train, n_trees=25, seed=0):
             feature_subsample=subsample,
             rng=rng,
             importance_out=imp,
+            weights=counts[rows],
         )
         totals += imp
     total = totals.sum()

@@ -101,35 +101,30 @@ class Tree:
         return self.p_malware[self.leaves(X)]
 
 
-def _best_split(x, y, min_leaf):
-    """Best (threshold, impurity decrease) for one feature, or None."""
-    n = len(y)
-    # Ties may sort in any order for NaN-free x (X holds int64 counters): a split
-    # sits only where xs[i] != xs[i + 1], and there cum_pos[i] counts all rows <= xs[i].
-    order = np.argsort(x)
-    xs, ys = x[order], y[order]
-    cum_pos = np.cumsum(ys)
-    total_pos = cum_pos[-1]
-    p = total_pos / n
+def _best_splits(Xn, w, wy, n, n_pos, min_leaf):
+    """Best split of each column of a node's matrix Xn, whose row i stands for
+    w[i] training rows, wy[i] of them malware: (impurity decreases, thresholds),
+    with decrease -inf where a column has no split."""
+    # Ties may sort in any order for NaN-free X (X holds int64 counters): a split
+    # sits only where xs[i] != xs[i + 1], and there the cumsums count all rows <= xs[i].
+    cols = np.arange(Xn.shape[1])
+    order = np.argsort(Xn, axis=0)
+    xs = Xn[order, cols]
+    n_left = np.cumsum(w[order[:-1]], axis=0)
+    pos_left = np.cumsum(wy[order[:-1]], axis=0)
+    p = n_pos / n
     parent = 2.0 * p * (1.0 - p)  # Gini impurity
 
-    n_left = np.arange(1, n)
     n_right = n - n_left
-    pos_left = cum_pos[:-1]
-    pos_right = total_pos - pos_left
+    pos_right = n_pos - pos_left
     valid = (xs[1:] != xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
     with np.errstate(invalid="ignore", divide="ignore"):
         pl = pos_left / n_left
         pr = pos_right / n_right
     child = (n_left * 2 * pl * (1 - pl) + n_right * 2 * pr * (1 - pr)) / n
     decrease = np.where(valid, parent - child, -np.inf)
-    best = int(np.argmax(decrease))
-    if decrease[best] <= 1e-12:
-        return None
-    threshold = 0.5 * (xs[best] + xs[best + 1])
-    return threshold, float(decrease[best])
+    best = np.argmax(decrease, axis=0)
+    return decrease[best, cols], 0.5 * (xs[best, cols] + xs[best + 1, cols])
 
 
 def grow_cart(
@@ -140,20 +135,25 @@ def grow_cart(
     feature_subsample=None,
     rng=None,
     importance_out=None,
+    weights=None,
 ):
-    """Grow a CART on (X, y). `feature_subsample` draws that many candidate
-    features per split from `rng`; `importance_out` accumulates node-weighted
-    Gini decrease per feature."""
-    n_total, k = X.shape
+    """Grow a CART on (X, y), where row i stands for `weights[i]` copies of
+    itself (positive ints; one each by default). `feature_subsample` draws
+    that many candidate features per split from `rng`; `importance_out`
+    accumulates node-weighted Gini decrease per feature."""
+    k = X.shape[1]
+    # float counts: exact below 2**53, and the split formulas then cast nothing
+    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=np.float64)
+    wy = w * y
+    n_total = int(w.sum())
     nodes = []  # [feature, threshold, left, right, p_malware] per node
-    stack = [(np.arange(n_total), 0, None)]  # rows, depth, parent of a right child
+    stack = [(np.arange(len(y)), 0, None)]  # rows, depth, parent of a right child
     while stack:
         idx, depth, parent = stack.pop()
         if parent is not None:
             parent[3] = len(nodes)
-        yi = y[idx]
-        n = len(idx)
-        n_pos = int(yi.sum())
+        wi, wyi = w[idx], wy[idx]
+        n, n_pos = int(wi.sum()), int(wyi.sum())
         node = [-1, np.nan, -1, -1, n_pos / n]
         nodes.append(node)
         if depth >= max_depth or n < 2 * min_leaf or n_pos in (0, n):
@@ -162,14 +162,11 @@ def grow_cart(
             feats = np.sort(rng.choice(k, size=feature_subsample, replace=False))
         else:
             feats = np.arange(k)
+        splits = _best_splits(X[idx[:, None], feats], wi, wyi, n, n_pos, min_leaf)
         best = None  # (decrease, feature, threshold)
-        for f in feats:
-            res = _best_split(X[idx, f], yi, min_leaf)
-            if res is None:
-                continue
-            threshold, dec = res
-            if best is None or dec > best[0] + 1e-15:
-                best = (dec, int(f), threshold)
+        for dec, f, threshold in zip(splits[0].tolist(), feats.tolist(), splits[1]):
+            if dec > 1e-12 and (best is None or dec > best[0] + 1e-15):
+                best = (dec, f, threshold)
         if best is None:
             continue
         dec, f, threshold = best
@@ -370,13 +367,23 @@ def fit_tree_arrays(X, y, view, seed, max_depth=8, min_leaf=5, prune_fraction=0.
     return TrainedClassifier(algo="decision_tree", view=view, model=tree)
 
 
+MAX_WIDTH = 1024  # units in one hidden layer
+
+
+def check_hidden(hidden):
+    """ConfigurationError unless `hidden` lists one or more layer widths,
+    each in [1, MAX_WIDTH]."""
+    if not hidden or not all(1 <= h <= MAX_WIDTH for h in hidden):
+        raise ConfigurationError(
+            f"invalid hidden: {hidden!r}; need 1 or more widths in [1, {MAX_WIDTH}]")
+
+
 def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):
     if epochs < 1:
         raise ConfigurationError("epochs must be >= 1")
     if lr <= 0:
         raise ConfigurationError("lr must be positive")
-    if not hidden:
-        raise ConfigurationError("hidden layer list must be non-empty")
+    check_hidden(hidden)
     layers = [len(view.counters)] + list(hidden) + [1]
     net = Network.init(layers, seed)
     net.train(view.standardize(X), y, epochs, lr)

@@ -260,10 +260,23 @@ def default_profile(iterations=20):
     )
 
 
+MAX_SYNTHETIC_ROWS = 10**7  # iteration rows in one synthetic dataset
+
+
+def check_synthetic_size(n_benign, n_malware, iterations):
+    """ConfigurationError unless a dataset of n_benign + n_malware apps with
+    `iterations` rows each can be drawn: counts >= 1, MAX_SYNTHETIC_ROWS rows."""
+    if min(n_benign, n_malware, iterations) < 1:
+        raise ConfigurationError("app counts and iterations must be >= 1")
+    if (n_benign + n_malware) * iterations > MAX_SYNTHETIC_ROWS:
+        raise ConfigurationError(
+            f"{n_benign} + {n_malware} apps of {iterations} iterations each"
+            f" exceed the limit of {MAX_SYNTHETIC_ROWS:,} rows")
+
+
 def generate_synthetic_dataset(profile, n_benign, n_malware, seed):
     """Draw a labeled dataset from the profile; deterministic per seed."""
-    if min(n_benign, n_malware, profile.iterations) < 1:
-        raise ConfigurationError("app counts and iterations must be >= 1")
+    check_synthetic_size(n_benign, n_malware, profile.iterations)
     rng = np.random.default_rng(seed)
     n_counters = len(HPC_CATALOG)
     n_factors = profile.loadings.shape[1]
@@ -315,8 +328,11 @@ def write_perf_csv(d, path):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["app_id", "label", "iteration", *(d.counters or HPC_CATALOG)])
         for t in d.traces:
-            for it in range(t.iterations):
-                w.writerow([t.app_id, t.label, it] + t.values[it].tolist())
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow([t.app_id, t.label, ""])
+            pre = line.getvalue()[:-1]  # "app_id,label," quoted by the csv module
+            fh.write("".join([f"{pre}{it},{','.join(map(str, row))}\n"
+                              for it, row in enumerate(t.values.tolist())]))
 
 
 def _header_problem(header):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from hmdlab.traces import (
     Dataset,
     HPC_CATALOG,
     HpcTrace,
+    catalog_order,
     default_profile,
     generate_synthetic_dataset,
 )
+from test_models import _ref_grow
 
 
 def test_chi2_zero_for_class_independent_counter():
@@ -92,6 +96,29 @@ def test_importance_zero_for_constant_column():
     )
     fs = feature_importance_scores(d, n_trees=10, seed=0)
     assert fs.scores["instructions"] == 0.0
+
+
+def _reference_lab(train, n_trees, seed):
+    """The lab grown on bootstrap copies X[rows], each tree by the recursive
+    reference CART: the scores feature_importance_scores must give."""
+    counters = catalog_order(train.counters)
+    X, y = train.stack(counters)
+    rng = np.random.default_rng(seed)
+    k = X.shape[1]
+    totals = np.zeros(k)
+    for _ in range(n_trees):
+        rows = rng.integers(0, len(y), size=len(y))
+        imp = np.zeros(k)
+        _ref_grow(X[rows], y[rows], max_depth=8, min_leaf=5,
+                  feature_subsample=round(math.sqrt(k)), rng=rng, importance_out=imp)
+        totals += imp
+    return dict(zip(counters, (totals / totals.sum()).tolist()))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_importance_matches_a_lab_grown_on_bootstrap_copies(small_dataset, seed):
+    fs = feature_importance_scores(small_dataset, n_trees=3, seed=seed)
+    assert fs.scores == _reference_lab(small_dataset, 3, seed)
 
 
 def test_importance_deterministic(small_dataset):

@@ -719,6 +719,28 @@ def test_validate_config_rejects_an_int_too_large_for_a_float(obj, tmp_path, cap
     assert capsys.readouterr().err.startswith("error:")
 
 
+# A hidden width, and apps x iterations, past their caps: numpy would refuse
+# the arrays ("array is too big") once the run reached them.
+_SMALL = {"recipe": "baseline", "seeds": [7], "n_benign": 40, "n_malware": 40,
+          "n_test_per_class": 10, "iterations": 5}
+_PAST_CAPS = [
+    {**_SMALL, "hidden": [4611686018427387904]},
+    {**_SMALL, "iterations": 4611686018427387904},
+    {**_SMALL, "probe_per_class": 10**7},
+]
+
+
+@pytest.mark.parametrize("obj", _PAST_CAPS, ids=["hidden", "iterations", "probe"])
+def test_validate_config_and_run_reject_sizes_past_their_caps(obj, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["validate-config", str(path)],
+                 ["run", "baseline", "--config", str(path), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("report-*"))
+
+
 def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_path):
     # combinatorics runs for real (under 0.01 s), so its run-time rejections show
     for name in RECIPES:
@@ -739,6 +761,8 @@ def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_pat
     @example(_PAST_FLOAT[2])
     @example(_PAST_FLOAT[3])
     @example(_PAST_FLOAT[4])
+    @example(_PAST_CAPS[0])
+    @example(_PAST_CAPS[1])
     def agree(obj):
         path.write_text(json.dumps(obj))
         recipe = obj.get("recipe")

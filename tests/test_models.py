@@ -18,6 +18,7 @@ from hmdlab.errors import (
     UnsupportedModelError,
 )
 from hmdlab.models import (
+    MAX_WIDTH,
     ConfusionCounts,
     FeatureView,
     Network,
@@ -129,7 +130,8 @@ class _RefNode:
 
 
 def _ref_best_split(x, y, min_leaf):
-    """models._best_split over a stable sort: the reference for its split."""
+    """The best split of one feature, over a stable sort of unweighted rows:
+    the reference for each column of models._best_splits."""
     n = len(y)
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
@@ -293,6 +295,30 @@ def _assert_grows_like_the_reference(X, y, X_test, max_depth):
                     np.testing.assert_array_equal(tree.scores(Xp), out)
                 _ref_prune(root, X_prune, y_prune, np.arange(n_prune))
                 _assert_same_tree(reduced_error_prune(tree, X_prune, y_prune), root)
+
+
+@pytest.mark.parametrize("max_depth", range(1, 11))
+def test_weighted_growth_matches_growth_on_repeated_rows(max_depth):
+    # a bootstrap draw as counts: row i of X[u] stands for counts[u][i] copies
+    rng, X, y = _tree_data(max_depth)
+    rows = rng.integers(0, 200, size=200)
+    counts = np.bincount(rows, minlength=200)
+    u = np.flatnonzero(counts)
+    for Xc in (X, np.round(X, 1)):  # rounded: ties in every column
+        for min_leaf in range(1, 6):
+            for subsample in (None, 2):
+                grown = []
+                for grow, rows_of, kw in ((grow_cart, u, {"weights": counts[u]}),
+                                          (_ref_grow, rows, {})):
+                    draws = np.random.default_rng(min_leaf)
+                    imp = np.zeros(4)
+                    tree = grow(Xc[rows_of], y[rows_of], max_depth, min_leaf,
+                                subsample, draws, imp, **kw)
+                    grown.append((tree, imp, draws.integers(1 << 30)))
+                (tree, imp, draw), (root, ref_imp, ref_draw) = grown
+                _assert_same_tree(tree, root)
+                np.testing.assert_array_equal(imp, ref_imp)
+                assert draw == ref_draw
 
 
 def _subtree_scores(tree, node, X):
@@ -516,9 +542,13 @@ def test_network_learns_xor():
 
 def test_network_rejects_bad_params():
     d = two_class_dataset(TWO, [[1, 2]], [[9, 8]])
-    for bad in ({"epochs": 0}, {"lr": 0.0}, {"hidden": ()}):
+    for bad in ({"epochs": 0}, {"lr": 0.0}, {"hidden": ()},
+                {"hidden": (4, MAX_WIDTH + 1)}, {"hidden": (2**62,)}):
         with pytest.raises(ConfigurationError):
             train_classifier("neural_network", d, TWO, 0, network_params=bad)
+    net = train_classifier("neural_network", d, TWO, 0,
+                           network_params={"hidden": (MAX_WIDTH,), "epochs": 1})
+    assert net.model.weights[0].shape == (MAX_WIDTH, 2)
 
 
 def test_network_divergence_reports_epoch():

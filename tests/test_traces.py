@@ -20,11 +20,13 @@ from hmdlab.traces import (
     CATALOG_INDEX,
     HPC_CATALOG,
     LABELS,
+    MAX_SYNTHETIC_ROWS,
     Dataset,
     HpcTrace,
     _parse_fast,
     _parse_rows,
     catalog_order,
+    check_synthetic_size,
     default_profile,
     generate_synthetic_dataset,
     parse_perf_csv,
@@ -161,9 +163,12 @@ def test_dataset_unique_ids_and_labels():
 def test_bad_counts_provenance_and_mixed_export_raise_hmdlab_errors(tmp_path):
     with pytest.raises(ConfigurationError):
         generate_synthetic_dataset(default_profile(iterations=2), 0, 1, 0)
-    for iterations in (0, -1):
+    for iterations in (0, -1, MAX_SYNTHETIC_ROWS // 2 + 1, 2**62):
         with pytest.raises(ConfigurationError):
             generate_synthetic_dataset(default_profile(iterations), 1, 1, 0)
+    check_synthetic_size(1, MAX_SYNTHETIC_ROWS - 1, 1)  # the cap itself is admitted
+    with pytest.raises(ConfigurationError, match="exceed the limit"):
+        check_synthetic_size(1, MAX_SYNTHETIC_ROWS, 1)
     a = make_trace("a", "benign", ("instructions",), [[1]])
     b = make_trace("b", "malware", ("cpu-cycles",), [[1]])
     with pytest.raises(DataError):
@@ -300,6 +305,32 @@ def test_split_deterministic(small_dataset):
 def test_split_needs_training_remainder(small_dataset):
     with pytest.raises(SplitSizeError):
         split_train_test(small_dataset, 80, seed=0)
+
+
+def _write_a_csv_row_per_iteration(d, path):
+    """write_perf_csv as one csv.writer row per iteration: the reference
+    for its bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["app_id", "label", "iteration", *(d.counters or HPC_CATALOG)])
+        for t in d.traces:
+            for it in range(t.iterations):
+                w.writerow([t.app_id, t.label, it] + t.values[it].tolist())
+
+
+def test_export_writes_the_bytes_of_a_csv_row_per_iteration(tmp_path, small_dataset):
+    apps = ["a,b", 'say "hi"', "two\nlines", "", "cr\rlf", "é,\"\n", "plain"]
+    rng = np.random.default_rng(0)
+    odd = Dataset(tuple(
+        make_trace(app, LABELS[i % 2], ("instructions", "cpu-cycles"),
+                   rng.integers(0, 2**63 - 1, size=(i + 1, 2)))
+        for i, app in enumerate(apps)
+    ))
+    for d in (odd, Dataset(()), Dataset(small_dataset.traces[:6])):
+        write_perf_csv(d, tmp_path / "got.csv")
+        _write_a_csv_row_per_iteration(d, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
 
 
 def test_csv_roundtrip(tmp_path, small_dataset):
