@@ -31,7 +31,8 @@ from .features import (
     univariate_select_k_best,
 )
 from .models import (
-    check_hidden,
+    check_network_params,
+    check_tree_params,
     compute_metrics,
     confusion_from_predictions,
     train_classifier,
@@ -61,12 +62,12 @@ MTD_GROUP_B = ("cache-references", "cpu-cycles", "instructions")
 ALGOS = ("decision_tree", "neural_network")
 
 
-def _ints(values, lo, hi=math.inf):
+def _ints(values, lo=-math.inf, hi=math.inf):
     """True when every value is an integer in [lo, hi]."""
     return all(type(v) is int and lo <= v <= hi for v in values)
 
 
-def _real(value, lo, hi=math.inf):
+def _real(value, lo=-math.inf, hi=math.inf):
     """True when value is a number in [lo, hi] that a float holds."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and lo <= value <= hi and abs(value) <= sys.float_info.max)
@@ -114,8 +115,7 @@ class ExperimentConfig:
                     and len(set(self.seeds)) == len(self.seeds))
         self._check("csv_path", isinstance(self.csv_path, (str, type(None))))
         for name in ("n_benign", "n_malware", "n_test_per_class", "iterations",
-                     "probe_per_class", "max_depth", "min_leaf", "epochs",
-                     "importance_trees"):
+                     "probe_per_class", "importance_trees"):
             self._check(name, _ints([getattr(self, name)], 1))
         if self.csv_path is None:  # split_train_test keeps a training app
             self._check("n_test_per_class", self.n_test_per_class
@@ -127,11 +127,13 @@ class ExperimentConfig:
         AttackBudget(epsilon=self.epsilon, max_inject=self.max_inject)
         self._check("extras", _ints(self.extras, 0)
                     and all(flat_injection(e) is not None for e in self.extras))
-        self._check("prune_fraction", _real(self.prune_fraction, 0, 1)
-                    and self.prune_fraction < 1)
-        self._check("hidden", all(type(h) is int for h in self.hidden))
-        check_hidden(self.hidden)
-        self._check("lr", _real(self.lr, 0) and self.lr > 0)
+        for name in ("max_depth", "min_leaf", "epochs"):
+            self._check(name, _ints([getattr(self, name)]))
+        self._check("hidden", _ints(self.hidden))
+        self._check("prune_fraction", _real(self.prune_fraction))
+        self._check("lr", _real(self.lr))
+        check_tree_params(**self.tree_params)
+        check_network_params(**self.network_params)
         self._check("n_groups", _ints([self.n_groups], 2, 20))
         self._check("group_r_max", _ints([self.group_r_max], 1, 20))
         self._check("corr_threshold", _real(self.corr_threshold, -1, 1))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,30 +73,39 @@ class Tree:
     right: np.ndarray
     p_malware: np.ndarray
 
-    def __post_init__(self):  # a walk reads list items far faster than array items
-        arrays = self.feature, self.threshold, self.left, self.right
-        object.__setattr__(self, "_nodes", list(zip(*(a.tolist() for a in arrays))))
+    @cached_property
+    def _tables(self):
+        """QuickScorer tables (Lucchese et al., SIGIR 2015), built on first use:
+        leaf k, left to right, is bit k of a row's kept bits; going right at an inner
+        node clears the bits of its left subtree; the lowest bit kept is the leaf."""
+        leaf = np.flatnonzero(self.feature < 0)
+        # mask 0 keeps all bits; mask i + 1 clears node i's left subtree (if any)
+        edges = np.searchsorted(leaf, np.r_[0, self.left, 0, self.right])
+        lo, hi = edges.reshape(2, -1, 1)
+        bits = np.arange(8 * ((len(leaf) + 7) // 8))
+        masks = np.packbits((bits < lo) | (bits >= hi), axis=1, bitorder="little")
+        row = 256 * np.arange(masks.shape[1])[:, None]  # byte j's row of the exit table
+        tables = []  # (feature, sorted thresholds, row + kept bytes past the first i)
+        for f in np.unique(self.feature[self.feature >= 0]).tolist() or [0]:
+            at = np.flatnonzero(self.feature == f)
+            at = at[np.argsort(self.threshold[at])]
+            prefix = np.bitwise_and.accumulate(masks[np.r_[0, at + 1]], axis=0)
+            tables.append((f, self.threshold[at], row + prefix.T))
+        low = np.frexp(np.arange(256) & -np.arange(256))[1] - 1  # lowest set bit
+        first = leaf[np.minimum(bits[::8, None] + low, len(leaf) - 1)]
+        first[:, 0] = len(self.feature)  # past every leaf: the byte keeps no bit
+        return first.ravel(), tables
 
     def node_count(self):
         return len(self.feature)
 
     def leaves(self, X):
-        """Index of the leaf each row of X reaches."""
-        out = np.empty(len(X), dtype=np.intp)
-        stack = [(0, np.arange(len(X)))] if len(X) else []
-        while stack:
-            node, idx = stack.pop()
-            f, threshold, left, right = self._nodes[node]
-            if f < 0:
-                out[idx] = node
-                continue
-            mask = X[:, f].take(idx) <= threshold  # the rows that go left
-            rows = idx[mask]
-            if len(rows) < len(idx):  # and when none go left, all go right
-                stack.append((right, idx[~mask] if len(rows) else idx))
-            if len(rows):
-                stack.append((left, rows))
-        return out
+        """The leaf each row of X reaches: right at each cut t < x, NaN > all."""
+        exit_, ((f, cuts, prefix), *rest) = self._tables
+        kept = prefix.take(cuts.searchsorted(X[:, f]), axis=1)  # (bytes, rows)
+        for f, cuts, prefix in rest:  # the row bits match, so & keeps them
+            kept &= prefix.take(cuts.searchsorted(X[:, f]), axis=1)
+        return exit_.take(kept).min(axis=0)  # leaf ids rise with their bits
 
     def scores(self, X):
         return self.p_malware[self.leaves(X)]
@@ -350,10 +360,7 @@ class TrainedClassifier:
 
 
 def fit_tree_arrays(X, y, view, seed, max_depth=8, min_leaf=5, prune_fraction=0.2):
-    if max_depth < 1:
-        raise ConfigurationError("max_depth must be >= 1")
-    if not 0 <= prune_fraction < 1:
-        raise ConfigurationError("prune_fraction must be in [0, 1)")
+    check_tree_params(max_depth, min_leaf, prune_fraction)
     rng = np.random.default_rng(seed)
     if prune_fraction > 0 and len(y) >= 10:
         order = rng.permutation(len(y))
@@ -368,22 +375,28 @@ def fit_tree_arrays(X, y, view, seed, max_depth=8, min_leaf=5, prune_fraction=0.
 
 
 MAX_WIDTH = 1024  # units in one hidden layer
+MAX_LAYERS = 16  # hidden layers
 
 
-def check_hidden(hidden):
-    """ConfigurationError unless `hidden` lists one or more layer widths,
-    each in [1, MAX_WIDTH]."""
-    if not hidden or not all(1 <= h <= MAX_WIDTH for h in hidden):
-        raise ConfigurationError(
-            f"invalid hidden: {hidden!r}; need 1 or more widths in [1, {MAX_WIDTH}]")
+def check_tree_params(max_depth, min_leaf, prune_fraction):
+    """ConfigurationError unless max_depth, min_leaf >= 1, 0 <= prune_fraction < 1."""
+    if not (max_depth >= 1 and min_leaf >= 1 and 0 <= prune_fraction < 1):
+        raise ConfigurationError(f"invalid {max_depth=} {min_leaf=} {prune_fraction=}")
+
+
+def check_network_params(hidden, epochs, lr):
+    """ConfigurationError unless `hidden` lists 1 to MAX_LAYERS widths, each
+    in [1, MAX_WIDTH], epochs >= 1 and lr > 0."""
+    if not (0 < len(hidden) <= MAX_LAYERS and all(0 < h <= MAX_WIDTH for h in hidden)
+            and epochs >= 1 and lr > 0):
+        raise ConfigurationError(  # a long `hidden` would flood the message
+            f"invalid {len(hidden)} hidden widths in [{min(hidden, default=0)}, "
+            f"{max(hidden, default=0)}], {epochs=} or {lr=}; need 1 to {MAX_LAYERS} "
+            f"widths in [1, {MAX_WIDTH}], epochs >= 1 and lr > 0")
 
 
 def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):
-    if epochs < 1:
-        raise ConfigurationError("epochs must be >= 1")
-    if lr <= 0:
-        raise ConfigurationError("lr must be positive")
-    check_hidden(hidden)
+    check_network_params(hidden, epochs, lr)
     layers = [len(view.counters)] + list(hidden) + [1]
     net = Network.init(layers, seed)
     net.train(view.standardize(X), y, epochs, lr)

@@ -26,7 +26,8 @@ from hmdlab.experiments import (
     run,
     write_report,
 )
-from hmdlab.mtd import evaluate_pool_sweep
+from hmdlab.models import MAX_LAYERS
+from hmdlab.mtd import POLICIES, evaluate_pool_sweep
 from hmdlab.traces import (
     Dataset,
     HpcTrace,
@@ -720,17 +721,19 @@ def test_validate_config_rejects_an_int_too_large_for_a_float(obj, tmp_path, cap
 
 
 # A hidden width, and apps x iterations, past their caps: numpy would refuse
-# the arrays ("array is too big") once the run reached them.
+# the arrays ("array is too big") once the run reached them. One hidden layer
+# past the cap, of width 1, so that a run the check misses ends fast.
 _SMALL = {"recipe": "baseline", "seeds": [7], "n_benign": 40, "n_malware": 40,
           "n_test_per_class": 10, "iterations": 5}
 _PAST_CAPS = [
     {**_SMALL, "hidden": [4611686018427387904]},
     {**_SMALL, "iterations": 4611686018427387904},
     {**_SMALL, "probe_per_class": 10**7},
+    {**_SMALL, "hidden": [1] * (MAX_LAYERS + 1)},
 ]
 
 
-@pytest.mark.parametrize("obj", _PAST_CAPS, ids=["hidden", "iterations", "probe"])
+@pytest.mark.parametrize("obj", _PAST_CAPS, ids=["hidden", "iterations", "probe", "layers"])
 def test_validate_config_and_run_reject_sizes_past_their_caps(obj, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
@@ -763,6 +766,7 @@ def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_pat
     @example(_PAST_FLOAT[4])
     @example(_PAST_CAPS[0])
     @example(_PAST_CAPS[1])
+    @example(_PAST_CAPS[3])
     def agree(obj):
         path.write_text(json.dumps(obj))
         recipe = obj.get("recipe")
@@ -772,3 +776,55 @@ def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_pat
         assert main(["validate-config", str(path)]) == main(argv)
 
     agree()
+
+
+@st.composite
+def _tiny_configs(draw):
+    """A config that every recipe runs in milliseconds."""
+    n_benign, n_malware, n_groups = (draw(st.integers(2, hi)) for hi in (6, 6, 4))
+    return {
+        "seeds": [draw(st.integers(0, 99))],
+        "n_benign": n_benign,
+        "n_malware": n_malware,
+        "n_test_per_class": draw(st.integers(1, min(n_benign, n_malware) - 1)),
+        "iterations": draw(st.integers(1, 3)),
+        "probe_per_class": draw(st.integers(1, 6)),
+        "epochs": draw(st.integers(1, 3)),
+        "importance_trees": draw(st.integers(1, 2)),
+        "max_depth": draw(st.integers(1, 4)),
+        "min_leaf": draw(st.integers(1, 3)),
+        "prune_fraction": draw(st.sampled_from([0.0, 0.2, 0.9])),
+        "hidden": draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)),
+        "epsilon": draw(st.sampled_from([0.5, 1.0])),
+        "extras": draw(st.lists(st.sampled_from([0, 10**6]), max_size=2)),
+        "n_groups": n_groups,
+        "group_r_max": draw(st.integers(1, 3)),
+        "sizes": draw(st.lists(st.integers(2, n_groups), min_size=1, max_size=2)),
+        "policy": draw(st.sampled_from(POLICIES)),
+    }
+
+
+# Apps per class and iterations of a CSV to ingest in place of the synthetic draw
+_TINY_CSVS = st.none() | st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3))
+
+
+def test_cli_runs_every_recipe_on_tiny_configs_to_a_report_or_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(list(RECIPES)), _tiny_configs(), _TINY_CSVS)
+    def runs(recipe, obj, csv):
+        path.write_text(json.dumps(obj))
+        argv = ["run", recipe, "--config", str(path), "--out", str(out)]
+        if csv is not None:
+            n_benign, n_malware, iterations = csv
+            data = generate_synthetic_dataset(default_profile(iterations=iterations),
+                                              n_benign, n_malware, obj["seeds"][0])
+            write_perf_csv(data, tmp_path / "perf.csv")
+            argv += ["--csv", str(tmp_path / "perf.csv")]
+        code = main(argv)  # an exception escaping main fails the example
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 2 and err.startswith("error:"))
+
+    runs()

@@ -18,6 +18,7 @@ from hmdlab.errors import (
     UnsupportedModelError,
 )
 from hmdlab.models import (
+    MAX_LAYERS,
     MAX_WIDTH,
     ConfusionCounts,
     FeatureView,
@@ -424,6 +425,8 @@ def test_tree_param_validation():
         train_classifier(
             "decision_tree", d, TWO, 0, tree_params={"prune_fraction": 1.0}
         )
+    with pytest.raises(ConfigurationError):
+        train_classifier("decision_tree", d, TWO, 0, tree_params={"min_leaf": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +545,17 @@ def test_network_learns_xor():
 
 def test_network_rejects_bad_params():
     d = two_class_dataset(TWO, [[1, 2]], [[9, 8]])
-    for bad in ({"epochs": 0}, {"lr": 0.0}, {"hidden": ()},
-                {"hidden": (4, MAX_WIDTH + 1)}, {"hidden": (2**62,)}):
+    for bad in ({"epochs": 0}, {"lr": 0.0}, {"lr": float("nan")}, {"hidden": ()},
+                {"hidden": (4, MAX_WIDTH + 1)}, {"hidden": (2**62,)},
+                {"hidden": (1,) * (MAX_LAYERS + 1)}):
         with pytest.raises(ConfigurationError):
             train_classifier("neural_network", d, TWO, 0, network_params=bad)
     net = train_classifier("neural_network", d, TWO, 0,
                            network_params={"hidden": (MAX_WIDTH,), "epochs": 1})
     assert net.model.weights[0].shape == (MAX_WIDTH, 2)
+    net = train_classifier("neural_network", d, TWO, 0,
+                           network_params={"hidden": (1,) * MAX_LAYERS, "epochs": 1})
+    assert len(net.model.weights) == MAX_LAYERS + 1
 
 
 def test_network_divergence_reports_epoch():
@@ -675,6 +682,52 @@ def test_leaves_match_a_per_row_walk_in_every_memory_layout(n):
         got = tree.leaves(rows)
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, want)
+
+
+def _edge_rows(rng, tree, n, k):
+    """n rows of k columns drawn from the tree's thresholds, the floats just
+    above them, NaN, +-inf, +-0.0 and a few ordinary values."""
+    cuts = tree.threshold[tree.feature >= 0]
+    values = np.r_[cuts, np.nextafter(cuts, np.inf), np.nan, np.inf, -np.inf, -0.0, 0.0,
+                   rng.normal(size=4)]
+    return rng.choice(values, size=(n, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 12),
+       st.integers(1, 4), st.booleans())
+def test_leaves_match_a_per_row_walk_on_edge_values(seed, k, max_depth, min_leaf, prune):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(300, k)), 1)  # rounded, so values tie
+    y = (rng.random(300) < 0.5).astype(np.int64)
+    tree = grow_cart(X[:200], y[:200], max_depth, min_leaf)
+    if prune:
+        tree = reduced_error_prune(tree, X[200:], y[200:])
+    for n in (0, 1, 200):
+        rows = _edge_rows(rng, tree, n, k)
+        np.testing.assert_array_equal(tree.leaves(rows), _ref_leaves(tree, rows))
+
+
+def test_leaves_of_a_one_leaf_tree_and_of_a_tree_past_64_leaves():
+    rng = np.random.default_rng(5)
+    X = np.round(rng.random(size=(1000, 2)), 2)
+    y = (np.floor(8 * X).sum(axis=1) % 2).astype(np.int64)  # a checkerboard
+    one_leaf = grow_cart(X, np.zeros(1000, dtype=np.int64), max_depth=8, min_leaf=1)
+    many = grow_cart(X, y, max_depth=10, min_leaf=1)
+    pruned = reduced_error_prune(many, X[::3], y[::3])
+    assert one_leaf.node_count() == 1
+    assert (many.feature < 0).sum() > 64 and (pruned.feature < 0).sum() > 64
+    rows = np.vstack([X, _edge_rows(rng, many, 1000, 2)])
+    for tree in (one_leaf, many, pruned):
+        np.testing.assert_array_equal(tree.leaves(rows), _ref_leaves(tree, rows))
+    np.testing.assert_array_equal(one_leaf.leaves(rows), np.zeros(len(rows)))
+
+
+def test_leaves_send_ties_and_signed_zeros_left_and_nan_right():
+    clf = stump("instructions", 0.0)
+    rows = np.array([[-0.0], [0.0], [np.nextafter(0.0, 1.0)], [np.nan], [np.inf], [-np.inf]])
+    np.testing.assert_array_equal(clf.model.leaves(rows), [1, 1, 2, 2, 2, 1])
+    np.testing.assert_array_equal(clf.model.leaves(rows), _ref_leaves(clf.model, rows))
 
 
 def test_predict_iteration_zero_network_is_malware_by_ge_rule():
