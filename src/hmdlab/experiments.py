@@ -25,6 +25,7 @@ from .attack import (
 )
 from .errors import ConfigurationError, MappingError
 from .features import (
+    check_tree_count,
     correlation_matrix,
     feature_importance_scores,
     propose_hpc_groups,
@@ -115,7 +116,7 @@ class ExperimentConfig:
                     and len(set(self.seeds)) == len(self.seeds))
         self._check("csv_path", isinstance(self.csv_path, (str, type(None))))
         for name in ("n_benign", "n_malware", "n_test_per_class", "iterations",
-                     "probe_per_class", "importance_trees"):
+                     "probe_per_class"):
             self._check(name, _ints([getattr(self, name)], 1))
         if self.csv_path is None:  # split_train_test keeps a training app
             self._check("n_test_per_class", self.n_test_per_class
@@ -127,13 +128,14 @@ class ExperimentConfig:
         AttackBudget(epsilon=self.epsilon, max_inject=self.max_inject)
         self._check("extras", _ints(self.extras, 0)
                     and all(flat_injection(e) is not None for e in self.extras))
-        for name in ("max_depth", "min_leaf", "epochs"):
+        for name in ("max_depth", "min_leaf", "epochs", "importance_trees"):
             self._check(name, _ints([getattr(self, name)]))
         self._check("hidden", _ints(self.hidden))
         self._check("prune_fraction", _real(self.prune_fraction))
         self._check("lr", _real(self.lr))
         check_tree_params(**self.tree_params)
         check_network_params(**self.network_params)
+        check_tree_count(self.importance_trees)
         self._check("n_groups", _ints([self.n_groups], 2, 20))
         self._check("group_r_max", _ints([self.group_r_max], 1, 20))
         self._check("corr_threshold", _real(self.corr_threshold, -1, 1))

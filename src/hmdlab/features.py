@@ -70,11 +70,19 @@ def univariate_select_k_best(train, k):
     return FeatureScores(scores={c: float(s) for c, s in zip(counters, scores)})
 
 
+MAX_TREES = 1000  # in one importance lab, 40 times the default
+
+
+def check_tree_count(n_trees):
+    """ConfigurationError unless 1 <= n_trees <= MAX_TREES."""
+    if not 1 <= n_trees <= MAX_TREES:
+        raise ConfigurationError(f"n_trees must be in [1, {MAX_TREES}], not {n_trees}")
+
+
 def feature_importance_scores(train, n_trees=25, seed=0):
     """Mean impurity-decrease importance over bootstrapped randomized trees
     (sqrt feature subsampling per split), normalized to sum to 1."""
-    if n_trees < 1:
-        raise ConfigurationError("n_trees must be >= 1")
+    check_tree_count(n_trees)
     counters, X, y = _stacked(train)
     rng = np.random.default_rng(seed)
     k = X.shape[1]

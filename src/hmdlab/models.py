@@ -256,12 +256,7 @@ class Network:
             np.maximum(a, 0.0, out=a)
         s = ws.scores = np.matmul(self.weights[-1], ws.acts[-1], out=ws.scores)
         s += self.biases[-1][:, None]
-        # The sigmoid 0.5 * (1 + tanh(0.5 * z)), in place.
-        s *= 0.5
-        np.tanh(s, out=s)
-        s += 1.0
-        s *= 0.5
-        return s
+        return _sigmoid(s)
 
     def _backward(self, ws):
         """Fill every layer's delta in `ws`, last to first, from the output
@@ -280,33 +275,38 @@ class Network:
 
     def train(self, Xs, y, epochs, lr):
         """Full-batch gradient descent on rows Xs (n, d) with labels y. The
-        epochs run on a float32 copy of the network; the float64 arrays,
-        which every prediction and gradient reads, take the result back,
-        also when training diverges."""
-        f32 = Network([W.astype(np.float32) for W in self.weights],
-                      [b.astype(np.float32) for b in self.biases])
+        epochs run in float32 on layers [W | b] over inputs that end in a
+        ones row, so one product applies a layer and one is its gradient.
+        The float64 arrays, which every prediction and gradient reads, take
+        the result back, also when training diverges."""
+        n, y, lr = len(y), np.asarray(y, dtype=np.float32), np.float32(lr)
+        layers = [np.concatenate((W, b[:, None]), axis=1, dtype=np.float32)
+                  for W, b in zip(self.weights, self.biases)]
+        acts = [np.ones((L.shape[1], n), dtype=np.float32) for L in layers]
+        acts[0][:-1] = Xs.T  # each layer's input, above a ones row
+        deltas = [np.empty((len(L), n), dtype=np.float32) for L in layers]
+        masks = [np.empty((len(a) - 1, n), dtype=bool) for a in acts[1:]]
         try:
-            f32._train(Xs.astype(np.float32), np.asarray(y, dtype=np.float32),
-                       epochs, np.float32(lr))
+            for epoch in range(epochs):
+                for L, a, out in zip(layers[:-1], acts, acts[1:]):
+                    h = np.matmul(L, a, out=out[:-1])
+                    np.maximum(h, 0.0, out=h)
+                s = _sigmoid(np.matmul(layers[-1], acts[-1], out=deltas[-1]))
+                # Scores lie in [0, 1] unless NaN, so this is where the loss
+                # stops being finite.
+                if not np.isfinite(s).all():
+                    raise DivergenceError(epoch)
+                s -= y
+                s /= n
+                for i in range(len(layers) - 1, 0, -1):
+                    _product(layers[i][:, :-1].T, deltas[i], out=deltas[i - 1])
+                    # A ReLU unit's output is positive exactly where its input is.
+                    deltas[i - 1] *= np.greater(acts[i][:-1], 0.0, out=masks[i - 1])
+                for L, a, delta in zip(layers, acts, deltas):
+                    L -= lr * (delta @ a.T)
         finally:
-            for master, w in zip(self.weights + self.biases, f32.weights + f32.biases):
-                master[...] = w
-
-    def _train(self, Xs, y, epochs, lr):
-        n = len(y)
-        ws = _Workspace(Xs, len(self.weights))
-        for epoch in range(epochs):
-            s = self._forward(ws)
-            # Scores lie in [0, 1] unless NaN, so this is where the loss
-            # stops being finite.
-            if not np.isfinite(s).all():
-                raise DivergenceError(epoch)
-            ws.deltas[-1] = np.subtract(s, y, out=ws.deltas[-1])
-            ws.deltas[-1] /= n
-            self._backward(ws)
-            for W, b, a, delta in zip(self.weights, self.biases, ws.acts, ws.deltas):
-                W -= lr * (delta @ a.T)
-                b -= lr * delta.sum(axis=1)
+            for W, b, L in zip(self.weights, self.biases, layers):
+                W[...], b[...] = L[:, :-1], L[:, -1]
 
     def input_gradient(self, Xs, y):
         """d(BCE loss)/d(standardized input) for rows Xs (n, d)."""
@@ -324,10 +324,19 @@ def _product(A, B, out):
     return product(A, B, out=out)
 
 
+def _sigmoid(s):
+    """The sigmoid 0.5 * (1 + tanh(0.5 * s)), in place; returns s."""
+    s *= 0.5
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
 class _Workspace:
-    """The (units, n) arrays a Network pass over rows Xs (n, d) fills in
-    place. The first pass to write one allocates it, so a fit allocates each
-    once and a forward pass allocates no backward arrays."""
+    """The (units, n) arrays an inference pass over rows Xs (n, d) fills in
+    place. The first pass to write one allocates it, so a forward pass
+    allocates no backward arrays."""
 
     def __init__(self, Xs, n_layers):
         self.acts = [Xs.T] + [None] * (n_layers - 1)  # each layer's input
@@ -374,25 +383,29 @@ def fit_tree_arrays(X, y, view, seed, max_depth=8, min_leaf=5, prune_fraction=0.
     return TrainedClassifier(algo="decision_tree", view=view, model=tree)
 
 
+MAX_DEPTH = 12  # tree levels: at most 4,096 leaves (Tree._tables grow as their square)
 MAX_WIDTH = 1024  # units in one hidden layer
 MAX_LAYERS = 16  # hidden layers
+MAX_EPOCHS = 100_000  # 200 times the default
 
 
 def check_tree_params(max_depth, min_leaf, prune_fraction):
-    """ConfigurationError unless max_depth, min_leaf >= 1, 0 <= prune_fraction < 1."""
-    if not (max_depth >= 1 and min_leaf >= 1 and 0 <= prune_fraction < 1):
-        raise ConfigurationError(f"invalid {max_depth=} {min_leaf=} {prune_fraction=}")
+    """ConfigurationError unless 1 <= max_depth <= MAX_DEPTH, min_leaf >= 1
+    and 0 <= prune_fraction < 1."""
+    if not (1 <= max_depth <= MAX_DEPTH and min_leaf >= 1 and 0 <= prune_fraction < 1):
+        raise ConfigurationError(f"invalid {max_depth=} {min_leaf=} {prune_fraction=}; "
+                                 f"need max_depth in [1, {MAX_DEPTH}]")
 
 
 def check_network_params(hidden, epochs, lr):
     """ConfigurationError unless `hidden` lists 1 to MAX_LAYERS widths, each
-    in [1, MAX_WIDTH], epochs >= 1 and lr > 0."""
+    in [1, MAX_WIDTH], 1 <= epochs <= MAX_EPOCHS and lr > 0."""
     if not (0 < len(hidden) <= MAX_LAYERS and all(0 < h <= MAX_WIDTH for h in hidden)
-            and epochs >= 1 and lr > 0):
+            and 1 <= epochs <= MAX_EPOCHS and lr > 0):
         raise ConfigurationError(  # a long `hidden` would flood the message
             f"invalid {len(hidden)} hidden widths in [{min(hidden, default=0)}, "
             f"{max(hidden, default=0)}], {epochs=} or {lr=}; need 1 to {MAX_LAYERS} "
-            f"widths in [1, {MAX_WIDTH}], epochs >= 1 and lr > 0")
+            f"widths in [1, {MAX_WIDTH}], epochs in [1, {MAX_EPOCHS}] and lr > 0")
 
 
 def fit_network_arrays(X, y, view, seed, hidden=(16,), epochs=500, lr=0.05):

@@ -11,6 +11,7 @@ from hmdlab.errors import (
     GroupingError,
 )
 from hmdlab.features import (
+    MAX_TREES,
     CorrelationMatrix,
     FeatureScores,
     correlation_matrix,
@@ -86,6 +87,12 @@ def _threshold_dataset(seed=0, n=60):
 def test_importance_finds_the_signal_counter():
     fs = feature_importance_scores(_threshold_dataset(), n_trees=15, seed=1)
     assert fs.scores["branch-misses"] > 0.5
+
+
+def test_importance_rejects_tree_counts_outside_its_range(small_dataset):
+    for n_trees in (0, MAX_TREES + 1):  # checked before the first tree
+        with pytest.raises(ConfigurationError):
+            feature_importance_scores(small_dataset, n_trees=n_trees)
 
 
 def test_importance_zero_for_constant_column():

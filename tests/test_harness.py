@@ -26,7 +26,8 @@ from hmdlab.experiments import (
     run,
     write_report,
 )
-from hmdlab.models import MAX_LAYERS
+from hmdlab.features import MAX_TREES
+from hmdlab.models import MAX_DEPTH, MAX_EPOCHS, MAX_LAYERS
 from hmdlab.mtd import POLICIES, evaluate_pool_sweep
 from hmdlab.traces import (
     Dataset,
@@ -744,6 +745,29 @@ def test_validate_config_and_run_reject_sizes_past_their_caps(obj, tmp_path, cap
     assert not list(tmp_path.glob("report-*"))
 
 
+# One past each cap on a run's length. A run that the checks miss would fit
+# for hours, so the recipes are stubbed out: only the config checks end a run.
+_RUN_CAPS = {"max_depth": MAX_DEPTH, "epochs": MAX_EPOCHS, "importance_trees": MAX_TREES}
+_PAST_RUN_CAPS = [{**_SMALL, name: cap + 1} for name, cap in _RUN_CAPS.items()]
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_CAPS))
+def test_validate_config_and_run_reject_run_lengths_past_their_caps(
+        name, monkeypatch, tmp_path, capsys):
+    for recipe in RECIPES:
+        monkeypatch.setitem(RECIPES, recipe, lambda cfg: {})
+    obj = {**_SMALL, name: _RUN_CAPS[name] + 1}
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig.from_dict(obj)
+    ExperimentConfig.from_dict({**_SMALL, name: _RUN_CAPS[name]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["validate-config", str(path)],
+                 ["run", "baseline", "--config", str(path), "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_path):
     # combinatorics runs for real (under 0.01 s), so its run-time rejections show
     for name in RECIPES:
@@ -767,6 +791,9 @@ def test_validate_config_and_run_agree_on_generated_configs(monkeypatch, tmp_pat
     @example(_PAST_CAPS[0])
     @example(_PAST_CAPS[1])
     @example(_PAST_CAPS[3])
+    @example(_PAST_RUN_CAPS[0])
+    @example(_PAST_RUN_CAPS[1])
+    @example(_PAST_RUN_CAPS[2])
     def agree(obj):
         path.write_text(json.dumps(obj))
         recipe = obj.get("recipe")

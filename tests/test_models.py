@@ -433,27 +433,41 @@ def test_tree_param_validation():
 # Neural network
 
 
+def _folded_forward(layers, Xs):
+    """The reference forward pass on bias-folded layers [W | b] over inputs
+    that end in a ones row: (each layer's input, hidden pre-activations,
+    scores), every array allocated anew, in the dtype of its arguments."""
+    ones = np.ones((1, len(Xs)), dtype=Xs.dtype)
+    # C order, as in Network.train: the order of BLAS's sums follows the layout.
+    acts, zs = [np.concatenate((Xs.T, ones)).copy(order="C")], []
+    for L in layers[:-1]:
+        zs.append(L @ acts[-1])
+        acts.append(np.concatenate((np.maximum(zs[-1], 0.0), ones)))
+    z = layers[-1] @ acts[-1]
+    return acts, zs, 0.5 * (1.0 + np.tanh(0.5 * z[0]))
+
+
 def _reference_train(weights, biases, Xs, y, epochs, lr):
-    """Full-batch training as plain per-epoch arithmetic that allocates every
-    array anew, in the dtype of its arguments. Updates the lists in place;
-    returns the epoch at which the scores stop being finite, or None."""
+    """Full-batch training as plain per-epoch arithmetic on bias-folded
+    layers, allocating every array anew, in the dtype of its arguments.
+    Updates the lists in place; returns the epoch at which the scores stop
+    being finite, or None."""
     n = len(y)
+    layers = [np.concatenate((W, b[:, None]), axis=1) for W, b in zip(weights, biases)]
+    diverged = None
     for epoch in range(epochs):
-        acts, zs = [Xs.T], []
-        for W, b in zip(weights[:-1], biases[:-1]):
-            zs.append(W @ acts[-1] + b[:, None])
-            acts.append(np.maximum(zs[-1], 0.0))
-        z = weights[-1] @ acts[-1] + biases[-1][:, None]
-        s = 0.5 * (1.0 + np.tanh(0.5 * z[0]))
+        acts, zs, s = _folded_forward(layers, Xs)
         if not np.isfinite(s).all():
-            return epoch
+            diverged = epoch
+            break
         deltas = [((s - y) / n)[None, :]]
-        for W, z in zip(weights[:0:-1], reversed(zs)):
-            deltas.append((W.T @ deltas[-1]) * (z > 0))
-        for W, b, a, delta in zip(weights, biases, acts, deltas[::-1]):
-            W -= lr * (delta @ a.T)
-            b -= lr * delta.sum(axis=1)
-    return None
+        for L, z in zip(layers[:0:-1], reversed(zs)):
+            deltas.append((L[:, :-1].T @ deltas[-1]) * (z > 0))
+        for L, a, delta in zip(layers, acts, deltas[::-1]):
+            L -= lr * (delta @ a.T)
+    for W, b, L in zip(weights, biases, layers):
+        W[...], b[...] = L[:, :-1], L[:, -1]
+    return diverged
 
 
 @pytest.mark.parametrize("n", [1, 37])
@@ -472,6 +486,27 @@ def test_network_train_is_bit_identical_to_the_reference_epoch(hidden, d, n):
     _assert_float64_masters(net, masters)
     for got, want in zip(net.weights + net.biases, weights + biases):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("hidden", [(16,), (8, 4), (1,)])
+def test_network_forward_matches_the_folded_training_pass(hidden, d):
+    # Training runs its own float32 pass on folded layers, and forward a
+    # float64 one on the unfolded weights: pin the second to the first.
+    rng = np.random.default_rng(d)
+    Xs = rng.normal(size=(500, d))
+    y = (Xs.sum(axis=1) + rng.normal(size=500) > 0).astype(np.float64)
+    net = Network.init([d, *hidden, 1], seed=d)
+    net.train(Xs, y, epochs=100, lr=0.5)
+    layers = [np.concatenate((W, b[:, None]), axis=1, dtype=np.float32)
+              for W, b in zip(net.weights, net.biases)]
+    want = _folded_forward(layers, Xs.astype(np.float32))[2]
+    got = net.forward(Xs)
+    # 0.5 * (1 + tanh) rounds near 1, so a small float32 score is off by up to
+    # about eps, not by a relative error.
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=np.finfo(np.float32).eps)
+    clear = np.abs(got - 0.5) > 1e-5
+    assert np.array_equal((got >= 0.5)[clear], (want >= 0.5)[clear])
 
 
 def _float32(weights, biases, Xs, y):

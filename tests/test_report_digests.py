@@ -56,6 +56,17 @@ def test_report_results_are_byte_identical(policy, recipe):
     assert hashlib.sha256(blob).hexdigest() == DIGESTS[policy, recipe]
 
 
+# Full size, one seed: 500-epoch network fits, where a change to training
+# arithmetic could drift far enough to flip a label. About 1 s.
+FULL_MTD_DIGEST = "a730506daf5e4f1dbae1391356d441b830a41f33b482ff6807fdb6e0103db3ab"
+
+
+def test_full_size_mtd_results_are_byte_identical():
+    results = experiments.run(ExperimentConfig(recipe="mtd", seeds=(7,)))["results"]
+    blob = json.dumps(results, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == FULL_MTD_DIGEST
+
+
 # The per-app path: one `classify_stream` call per trace, as a deployed
 # detector answers one app at a time. The groups interleave the catalog, so
 # the pool's counters are in neither catalog nor stream order.
